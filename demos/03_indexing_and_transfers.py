@@ -6,10 +6,10 @@ poset is counted against the Catalan numbers.
 """
 from math import comb
 
-from equialg import (Subgroup, category_of_system, cyclic_group,
+from equialg import (Subgroup, WeakIndexingCategory, cyclic_group,
                      enumerate_systems, enumerate_transfer_systems,
                      generate_category, join, level_tables, orbit_projection,
-                     system_of_category, transfer_system_of)
+                     transfer_system_of)
 
 C4 = cyclic_group(4)
 
@@ -23,8 +23,8 @@ for cutoff in [12, 24]:
 print()
 print("== round trip through the category encoding ==")
 poset = enumerate_systems(C4, 12, "unital")
-ok = all(system_of_category(category_of_system(s)).admissible == s.admissible
-         for s in poset)
+ok = all(WeakIndexingCategory.from_system(s).to_system().admissible
+         == s.admissible for s in poset)
 print(f"system -> category -> system is the identity on {len(poset)} nodes:",
       ok)
 

@@ -1,8 +1,8 @@
 """Finite G-set calculus, weak indexing systems, transfer systems, and a
 brute-force equivariant Eckmann-Hilton engine, all at exhaustive desk scale."""
 
-from .errors import (CutoffOverflowError, GuardExceededError, TheoremViolation,
-                     ValidationError)
+from .errors import (CheckReport, CutoffOverflowError, GuardExceededError,
+                     TheoremViolation, ValidationError)
 from .groups import (FiniteGroup, Subgroup, SubgroupLattice, cyclic_group,
                      direct_product, subgroup_lattice, subgroups, trivial_group)
 from .gsets import (GSet, GSetMap, Span, coinduce, compose_spans,
@@ -10,17 +10,15 @@ from .gsets import (GSet, GSetMap, Span, coinduce, compose_spans,
                     fixed_points, from_orbit_types, hom_count, induce,
                     is_isomorphic, orbit_decompose, orbit_projection, pullback,
                     restrict, spans_equivalent, terminal_map)
-from .indexing import (CheckReport, LevelTables, TransferSystem,
-                       WeakIndexingSystem, close_system, default_cutoff,
-                       enumerate_systems, enumerate_transfer_systems,
-                       f_complete, f_infinity, f_trivial, f_zero,
-                       is_weak_indexing_system, join, level_tables, meet,
+from .indexing import (LevelTables, TransferSystem, WeakIndexingSystem,
+                       close_system, default_cutoff, enumerate_systems,
+                       enumerate_transfer_systems, f_complete, f_infinity,
+                       f_trivial, f_zero, join, level_tables, meet,
                        system_check, transfer_check, transfer_system_of,
                        truncate_system)
-from .category import (WeakIndexingCategory, category_of_system,
-                       close_category, enumerate_categories, generate_category,
-                       is_weak_indexing_category, map_class_of,
-                       system_of_category)
+from .category import (WeakIndexingCategory, close_category,
+                       enumerate_categories, generate_category,
+                       is_weak_indexing_category, map_class_of)
 from .magmas import (CoefficientSystem, CpUnitalMagma, InterchangePair,
                      SemiMackeyFunctor, check_interchange, eckmann_hilton,
                      enumerate_interchanging_pairs, enumerate_semi_mackey,
@@ -46,11 +44,10 @@ __all__ = [
     "CheckReport", "LevelTables", "TransferSystem", "WeakIndexingSystem",
     "close_system", "default_cutoff", "enumerate_systems",
     "enumerate_transfer_systems", "f_complete", "f_infinity", "f_trivial",
-    "f_zero", "is_weak_indexing_system", "join", "level_tables", "meet",
+    "f_zero", "join", "level_tables", "meet",
     "system_check", "transfer_check", "transfer_system_of", "truncate_system",
-    "WeakIndexingCategory", "category_of_system", "close_category",
-    "enumerate_categories", "generate_category", "is_weak_indexing_category",
-    "map_class_of", "system_of_category",
+    "WeakIndexingCategory", "close_category", "enumerate_categories",
+    "generate_category", "is_weak_indexing_category", "map_class_of",
     "CoefficientSystem", "CpUnitalMagma", "InterchangePair",
     "SemiMackeyFunctor", "check_interchange", "eckmann_hilton",
     "enumerate_interchanging_pairs", "enumerate_semi_mackey",

@@ -19,12 +19,13 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from itertools import permutations
 
-from .errors import CutoffOverflowError, GuardExceededError, ValidationError
+from .errors import (CheckReport, CutoffOverflowError, GuardExceededError,
+                     ValidationError)
 from .groups import FiniteGroup
 from .gsets import GSetMap
-from .indexing import (CheckReport, LevelTables, WeakIndexingSystem,
-                       close_system, default_cutoff, level_tables, system_check)
-from .poset import Poset
+from .indexing import (LevelTables, WeakIndexingSystem, close_system,
+                       default_cutoff, level_tables, system_check)
+from .poset import Poset, closure_lattice
 
 
 # -- map classes ----------------------------------------------------------
@@ -56,29 +57,17 @@ def class_sizes(tables: LevelTables, mc: tuple) -> tuple:
     return (src, dst)
 
 
-_COD_CACHE: dict = {}
-_DOM_CACHE: dict = {}
-_COMPOSE_CACHE: dict = {}
-_PULLBACK_CACHE: dict = {}
-
-
 def cod_class(tables: LevelTables, mc: tuple) -> tuple:
     """G-set class of the codomain: the multiset of base orbit types."""
-    key = (id(tables), mc)
-    if key not in _COD_CACHE:
-        _COD_CACHE[key] = tuple(sorted(h for (h, _) in mc))
-    return _COD_CACHE[key]
+    return tuple(sorted(h for (h, _) in mc))
 
 
 def dom_class(tables: LevelTables, mc: tuple) -> tuple:
     """G-set class of the domain: induced fiber orbits, as G-orbit types."""
-    key = (id(tables), mc)
-    if key not in _DOM_CACHE:
-        out = []
-        for (h, cid) in mc:
-            out.extend(tables.lat.class_rep(m) for m in tables.classes[h][cid])
-        _DOM_CACHE[key] = tuple(sorted(out))
-    return _DOM_CACHE[key]
+    out = []
+    for (h, cid) in mc:
+        out.extend(tables.lat.class_rep(m) for m in tables.classes[h][cid])
+    return tuple(sorted(out))
 
 
 def map_class_of(tables: LevelTables, f: GSetMap) -> tuple:
@@ -188,9 +177,6 @@ def compose_classes(tables: LevelTables, c1: tuple, c2: tuple) -> set:
     """
     if cod_class(tables, c1) != dom_class(tables, c2):
         return set()
-    ckey = (id(tables), c1, c2)
-    if ckey in _COMPOSE_CACHE:
-        return _COMPOSE_CACHE[ckey]
     fibers_by_type = defaultdict(list)
     for comp in c1:
         fibers_by_type[comp[0]].append(comp)
@@ -230,7 +216,6 @@ def compose_classes(tables: LevelTables, c1: tuple, c2: tuple) -> set:
             assemble(ti + 1, chosen + [m])
 
     assemble(0, [])
-    _COMPOSE_CACHE[ckey] = results
     return results
 
 
@@ -240,9 +225,6 @@ def pullback_classes(tables: LevelTables, cf: tuple, cg: tuple) -> set:
     over the shared codomain; unrepresentable pullbacks are skipped."""
     if cod_class(tables, cf) != cod_class(tables, cg):
         return set()
-    ckey = (id(tables), cf, cg)
-    if ckey in _PULLBACK_CACHE:
-        return _PULLBACK_CACHE[ckey]
     f_by_type = defaultdict(list)
     g_by_type = defaultdict(list)
     for comp in cf:
@@ -281,7 +263,6 @@ def pullback_classes(tables: LevelTables, cf: tuple, cg: tuple) -> set:
                 assemble(ti + 1, comps, budget)
 
     assemble(0, [], tables.cutoff)
-    _PULLBACK_CACHE[ckey] = results
     return results
 
 
@@ -295,7 +276,9 @@ def sub_multisets(mc: tuple) -> set:
 
 
 class _Ops:
-    """Interned map classes and lazily cached pair operations at one cutoff."""
+    """Interned map classes of one `LevelTables` and lazily cached pair
+    operations on their ids.  Ids follow the sorted universe, so sorting
+    ids sorts the classes."""
 
     def __init__(self, tables: LevelTables, universe: list):
         self.tables = tables
@@ -303,19 +286,31 @@ class _Ops:
         self.id_of = {mc: i for i, mc in enumerate(self.classes)}
         self.cod = [cod_class(tables, mc) for mc in self.classes]
         self.dom = [dom_class(tables, mc) for mc in self.classes]
-        self.sizes = [class_sizes(tables, mc) for mc in self.classes]
         self.by_cod = defaultdict(list)
         for i, c in enumerate(self.cod):
             self.by_cod[c].append(i)
+        self.isos = self.encode_all(sorted(iso_classes(tables)))
+        # maps from the empty set onto one orbit, where that orbit fits
+        reps = sorted({tables.lat.class_rep(i) for i in range(tables.n_sids)})
+        units = [self.id_of.get((component(tables, h, tables.empty(h)),))
+                 for h in reps]
+        self.units = [u for u in units if u is not None]
         self._compose: dict = {}
         self._pullback: dict = {}
         self._subs: dict = {}
         self._union: dict = {}
 
     def encode_all(self, mcs):
-        return [self.id_of[mc] for mc in mcs]
+        try:
+            return [self.id_of[mc] for mc in mcs]
+        except KeyError as exc:
+            raise ValidationError(
+                f"{exc.args[0]} is not a map class within cutoff "
+                f"{self.tables.cutoff}") from None
 
     def compose(self, u: int, v: int):
+        if self.cod[u] != self.dom[v]:
+            return ()
         key = (u, v)
         if key not in self._compose:
             out = compose_classes(self.tables, self.classes[u], self.classes[v])
@@ -347,64 +342,56 @@ class _Ops:
         return self._union[key]
 
 
-_OPS_CACHE: dict = {}
+def _ops_for(tables: LevelTables, guard: int = 400_000) -> _Ops:
+    """The map-class operations owned by `tables`, built on first use from
+    the full universe (`guard` bounds that first build)."""
+    if tables.map_ops is None:
+        tables.map_ops = _Ops(tables, map_class_universe(tables, guard))
+    return tables.map_ops
 
 
-def _ops_for(tables: LevelTables, universe: list | None = None) -> _Ops:
-    key = id(tables)
-    if key not in _OPS_CACHE:
-        _OPS_CACHE[key] = _Ops(tables, universe or map_class_universe(tables))
-    return _OPS_CACHE[key]
-
-
-def is_weak_indexing_category(tables: LevelTables, classes,
-                              universe: list | None = None) -> CheckReport:
+def is_weak_indexing_category(tables: LevelTables, classes) -> CheckReport:
     """Literal validity of an explicit set of map classes: wideness,
-    composition, pullback stability, and both summand directions."""
-    classes = set(classes)
-    for m in sorted(iso_classes(tables)):
-        if m not in classes:
-            return CheckReport(False, "wide", m, "missing an isomorphism class")
-    pool = sorted(classes)
-    for c1 in pool:
-        for c2 in pool:
-            for comp in sorted(compose_classes(tables, c1, c2)):
-                if comp not in classes:
-                    return CheckReport(False, "composition", (c1, c2, comp))
-    if universe is None:
-        universe = map_class_universe(tables)
-    by_cod = defaultdict(list)
-    for g in universe:
-        by_cod[cod_class(tables, g)].append(g)
-    for f in pool:
-        for g in by_cod[cod_class(tables, f)]:
-            for pb in sorted(pullback_classes(tables, f, g)):
-                if pb not in classes:
-                    return CheckReport(False, "pullback", (f, g, pb))
-    for m in pool:
-        for sub in sorted(sub_multisets(m)):
-            if sub not in classes:
-                return CheckReport(False, "summand-split", (m, sub))
-    for c1 in pool:
-        for c2 in pool:
-            union = tuple(sorted(c1 + c2))
-            src, dst = class_sizes(tables, union)
-            if src <= tables.cutoff and dst <= tables.cutoff \
-                    and union not in classes:
-                return CheckReport(False, "summand-assemble", (c1, c2, union))
+    composition, pullback stability, and both summand directions.  A class
+    beyond the cutoff is a ValidationError."""
+    ops = _ops_for(tables)
+    ids = set(ops.encode_all(classes))
+    mc = ops.classes
+    for u in ops.isos:
+        if u not in ids:
+            return CheckReport(False, "wide", mc[u], "missing an isomorphism class")
+    pool = sorted(ids)
+    for u in pool:
+        for v in pool:
+            for w in ops.compose(u, v):
+                if w not in ids:
+                    return CheckReport(False, "composition", (mc[u], mc[v], mc[w]))
+    for u in pool:
+        for v in ops.by_cod[ops.cod[u]]:
+            for w in ops.pullback(u, v):
+                if w not in ids:
+                    return CheckReport(False, "pullback", (mc[u], mc[v], mc[w]))
+    for u in pool:
+        for w in ops.subs(u):
+            if w not in ids:
+                return CheckReport(False, "summand-split", (mc[u], mc[w]))
+    for u in pool:
+        for v in pool:
+            w = ops.union(u, v)
+            if w >= 0 and w not in ids:
+                return CheckReport(False, "summand-assemble", (mc[u], mc[v], mc[w]))
     return CheckReport(True)
 
 
-def close_category(tables: LevelTables, seeds, unital: bool = False,
-                   universe: list | None = None) -> frozenset:
+def close_category(tables: LevelTables, seeds, unital: bool = False) -> frozenset:
     """Least valid map-class set containing the seeds (literal fixpoint)."""
-    ops = _ops_for(tables, universe)
-    ids = _close_ids(tables, ops, [ops.id_of[tuple(sorted(m))] for m in seeds],
+    ops = _ops_for(tables)
+    ids = _close_ids(ops, ops.encode_all(tuple(sorted(m)) for m in seeds),
                      unital)
     return frozenset(ops.classes[i] for i in ids)
 
 
-def _close_ids(tables, ops, seed_ids, unital):
+def _close_ids(ops, seed_ids, unital):
     classes: set = set()
     order: list = []
     pending: deque = deque()
@@ -415,12 +402,11 @@ def _close_ids(tables, ops, seed_ids, unital):
             order.append(u)
             pending.append(u)
 
-    for m in sorted(iso_classes(tables)):
-        add(ops.id_of[m])
+    for u in ops.isos:
+        add(u)
     if unital:
-        reps = sorted({tables.lat.class_rep(i) for i in range(tables.n_sids)})
-        for h in reps:
-            add(ops.id_of[(component(tables, h, tables.empty(h)),)])
+        for u in ops.units:
+            add(u)
     for u in seed_ids:
         add(u)
     while pending:
@@ -530,14 +516,6 @@ class WeakIndexingCategory:
         return cls(tables, comps)
 
 
-def system_of_category(cat: WeakIndexingCategory) -> WeakIndexingSystem:
-    return cat.to_system()
-
-
-def category_of_system(sys: WeakIndexingSystem) -> WeakIndexingCategory:
-    return WeakIndexingCategory.from_system(sys)
-
-
 def i_trivial(tables: LevelTables) -> WeakIndexingCategory:
     from .indexing import f_trivial
     return WeakIndexingCategory.from_system(f_trivial(tables))
@@ -574,37 +552,16 @@ def enumerate_categories(group: FiniteGroup, cutoff: int,
     closure-atoms under joins is exhaustive.
     """
     tables = level_tables(group, cutoff)
-    universe = map_class_universe(tables, guard=100_000)
-    if len(universe) > ground_guard:
+    ops = _ops_for(tables, guard=100_000)
+    if len(ops.classes) > ground_guard:
         raise GuardExceededError(
-            f"{len(universe)} map classes exceed the guard of {ground_guard}")
-    ops = _ops_for(tables, universe)
+            f"{len(ops.classes)} map classes exceed the guard of {ground_guard}")
     unital = which == "unital"
-    core = _close_ids(tables, ops, [], unital)
-    atoms = {}
-    for u in range(len(universe)):
-        if u in core:
-            continue
-        a = _close_ids(tables, ops, [u], unital)
-        atoms.setdefault(a, a)
-    found = {core: core}
-    frontier = [core]
-    join_memo: dict = {}
-    while frontier:
-        new = []
-        for x in frontier:
-            for a in atoms:
-                if a <= x:
-                    continue
-                mk = (x, a)
-                j = join_memo.get(mk)
-                if j is None:
-                    j = _close_ids(tables, ops, sorted(x | a), unital)
-                    join_memo[mk] = j
-                if j not in found:
-                    found[j] = j
-                    new.append(j)
-        frontier = new
+    core = _close_ids(ops, [], unital)
+    atoms = dict.fromkeys(_close_ids(ops, [u], unital)
+                          for u in range(len(ops.classes)) if u not in core)
+    found = closure_lattice(core, atoms,
+                            lambda x, a: _close_ids(ops, sorted(x | a), unital))
     nodes = [frozenset(ops.classes[i] for i in ids) for ids in found]
     if which == "almost_unital":
         nodes = [n for n in nodes

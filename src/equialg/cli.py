@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .connectivity import (conn_join_bound, disk_conn_c2,
@@ -40,16 +39,14 @@ class RunConfig:
     filter: str = "all"
     output: str | None = None
     format: str = "text"
-    max_points: int = 100_000
     max_carrier: int = 4
     norm_axiom: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if self.format not in ("json", "dot", "text"):
             raise ValidationError(f"unknown format {self.format!r}")
-        if self.max_points <= 0 or self.max_carrier <= 0 or self.workers <= 0:
-            raise ValidationError("guards and worker count must be positive")
+        if self.max_carrier <= 0:
+            raise ValidationError("the carrier guard must be positive")
 
     def resolve_group(self) -> FiniteGroup:
         spec = self.group_spec
@@ -229,14 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None)
         p.add_argument("--format", default="text",
                        choices=["json", "dot", "text"])
-        p.add_argument("--max-points", type=int, default=100_000)
         p.add_argument("--max-carrier", type=int, default=4)
         p.add_argument("--norm-axiom", action="store_true",
                        help="read multiplication-by-p as the orbit product")
-        p.add_argument("--workers", type=int,
-                       default=int(os.environ.get("EQUIALG_WORKERS", "1")),
-                       help="worker count (execution is sequential and "
-                            "deterministic; the flag sizes future partitions)")
 
     p_enum = sub.add_parser("enumerate", help="enumerate indexing posets")
     common(p_enum)
@@ -269,9 +261,8 @@ def main(argv=None) -> int:
         cfg = RunConfig(group_spec=args.group, cutoff=args.cutoff,
                         filter=getattr(args, "filter", "all"),
                         output=args.output, format=args.format,
-                        max_points=args.max_points,
                         max_carrier=args.max_carrier,
-                        norm_axiom=args.norm_axiom, workers=args.workers)
+                        norm_axiom=args.norm_axiom)
         if args.command == "enumerate":
             code = cmd_enumerate(cfg, transfer_systems=args.transfer_systems)
         elif args.command == "eh-check":

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the check report shared across the package."""
 
 
 class ValidationError(ValueError):
@@ -20,3 +20,21 @@ class TheoremViolation(AssertionError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class CheckReport:
+    """Outcome of a validity check; falsy iff some axiom failed."""
+
+    def __init__(self, ok: bool, axiom: str = "", witness=None, message: str = ""):
+        self.ok = bool(ok)
+        self.axiom = axiom
+        self.witness = witness
+        self.message = message
+
+    def __bool__(self):
+        return self.ok
+
+    def __repr__(self):
+        if self.ok:
+            return "CheckReport(ok)"
+        return f"CheckReport(fail: {self.axiom}, witness={self.witness})"

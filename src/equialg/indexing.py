@@ -21,27 +21,10 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import GuardExceededError, ValidationError
+from .errors import (CheckReport, GuardExceededError, TheoremViolation,
+                     ValidationError)
 from .groups import FiniteGroup, subgroup_lattice
-from .poset import Poset
-
-
-class CheckReport:
-    """Outcome of a validity check; falsy iff some axiom failed."""
-
-    def __init__(self, ok: bool, axiom: str = "", witness=None, message: str = ""):
-        self.ok = bool(ok)
-        self.axiom = axiom
-        self.witness = witness
-        self.message = message
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return "CheckReport(ok)"
-        return f"CheckReport(fail: {self.axiom}, witness={self.witness})"
+from .poset import Poset, closure_lattice
 
 
 def _ok():
@@ -51,6 +34,11 @@ def _ok():
 class LevelTables:
     """Shared per-(group, cutoff) tables: orbit types, class interning,
     and cached restriction / induction / conjugation / coproduct operations.
+
+    Everything derived from one group and cutoff is cached here, so it
+    lives exactly as long as the tables: the enumerated posets and closed
+    cores of `enumerate_systems`, and the map-class operations of
+    `category` (built on first use).
     """
 
     def __init__(self, group: FiniteGroup, cutoff: int):
@@ -94,6 +82,9 @@ class LevelTables:
         self._conj_cache: dict = {}
         self._coprod_cache: dict = {}
         self._orbit_res_cache: dict = {}
+        self.posets: dict = {}      # enumerate_systems filter -> Poset
+        self.cores: dict = {}       # (core, seed levels) -> joins over core
+        self.map_ops = None         # category._Ops over every map class
 
     # -- raw helpers ---------------------------------------------------
     def _conj_sid(self, g: int, sid: int) -> int:
@@ -391,10 +382,6 @@ def system_check(sys: WeakIndexingSystem) -> CheckReport:
     return _ok()
 
 
-def is_weak_indexing_system(candidate: WeakIndexingSystem) -> CheckReport:
-    return system_check(candidate)
-
-
 def close_system(tables: LevelTables, seed, unital_levels=()) -> WeakIndexingSystem:
     """Least weak indexing system containing the seed (level, class-id) pairs.
 
@@ -453,7 +440,11 @@ def meet(a: WeakIndexingSystem, b: WeakIndexingSystem) -> WeakIndexingSystem:
     out = WeakIndexingSystem(
         a.tables, [x & y for x, y in zip(a.admissible, b.admissible)],
         validate=False)
-    assert system_check(out)
+    rep = system_check(out)
+    if not rep:
+        raise TheoremViolation(
+            "the meet of two weak indexing systems is not one",
+            (a.group.name, a.cutoff, rep))
     return out
 
 
@@ -510,33 +501,6 @@ def _families(tables: LevelTables):
     return sorted(out, key=lambda f: (len(f), sorted(f)))
 
 
-def _complete_by_joins(tables, found, atoms):
-    """Close a set of systems under joins with the given atoms."""
-    by_key = {s.value_key(): s for s in found}
-    frontier = list(by_key.values())
-    memo = {}
-    while frontier:
-        new = []
-        for x in frontier:
-            for a in atoms:
-                if a <= x:
-                    continue
-                mk = (x.value_key(), a.value_key())
-                j = memo.get(mk)
-                if j is None:
-                    j = join(x, a)
-                    memo[mk] = j
-                k = j.value_key()
-                if k not in by_key:
-                    by_key[k] = j
-                    new.append(j)
-        frontier = new
-    return list(by_key.values())
-
-
-_ENUM_CACHE: dict = {}
-
-
 def enumerate_systems(group: FiniteGroup, cutoff: int | None = None,
                       which: str = "all", level_guard: int = 1200) -> Poset:
     """All weak indexing systems at the cutoff, as a poset under containment.
@@ -552,9 +516,8 @@ def enumerate_systems(group: FiniteGroup, cutoff: int | None = None,
         raise ValidationError(f"unknown filter {which!r}")
     t = level_tables(group, cutoff or default_cutoff(group))
     t.guard_levels(level_guard)
-    key = (group, t.cutoff, which)
-    if key in _ENUM_CACHE:
-        return _ENUM_CACHE[key]
+    if which in t.posets:
+        return t.posets[which]
     if which == "all":
         t.guard_levels(80)
         found = _enumerate_over_core(t, core_levels=(), seed_levels=range(t.n_sids))
@@ -562,38 +525,27 @@ def enumerate_systems(group: FiniteGroup, cutoff: int | None = None,
         found = _enumerate_over_core(t, core_levels=range(t.n_sids),
                                      seed_levels=range(t.n_sids))
     else:
-        by_key = {}
-        for fam in _families(t):
+        found = list(dict.fromkeys(
+            s for fam in _families(t)
             for s in _enumerate_over_core(t, core_levels=sorted(fam),
-                                          seed_levels=sorted(fam)):
-                if s.is_almost_unital():
-                    by_key.setdefault(s.value_key(), s)
-        found = list(by_key.values())
+                                          seed_levels=sorted(fam))
+            if s.is_almost_unital()))
     poset = Poset(found, leq=lambda a, b: a <= b, key=lambda s: s.sort_key())
-    _ENUM_CACHE[key] = poset
+    t.posets[which] = poset
     return poset
-
-
-_CORE_CACHE: dict = {}
 
 
 def _enumerate_over_core(tables, core_levels, seed_levels):
     t = tables
-    key = (id(t), tuple(core_levels), tuple(seed_levels))
-    if key in _CORE_CACHE:
-        return _CORE_CACHE[key]
-    core = close_system(t, [], unital_levels=core_levels)
-    atoms = {}
-    for hi in seed_levels:
-        for cid in range(len(t.classes[hi])):
-            if cid in core.admissible[hi]:
-                continue
-            a = close_system(t, [(hi, cid)], unital_levels=core_levels)
-            atoms.setdefault(a.value_key(), a)
-    atoms = sorted(atoms.values(), key=lambda s: s.sort_key())
-    out = _complete_by_joins(t, [core], atoms)
-    _CORE_CACHE[key] = out
-    return out
+    key = (tuple(core_levels), tuple(seed_levels))
+    if key not in t.cores:
+        core = close_system(t, [], unital_levels=core_levels)
+        atoms = dict.fromkeys(
+            close_system(t, [(hi, cid)], unital_levels=core_levels)
+            for hi in seed_levels for cid in range(len(t.classes[hi]))
+            if cid not in core.admissible[hi])
+        t.cores[key] = closure_lattice(core, atoms, join)
+    return t.cores[key]
 
 
 def truncate_system(sys: WeakIndexingSystem, tables_small: LevelTables

@@ -19,10 +19,10 @@ from __future__ import annotations
 import json
 from itertools import permutations, product
 
-from .errors import GuardExceededError, TheoremViolation, ValidationError
+from .errors import (CheckReport, GuardExceededError, TheoremViolation,
+                     ValidationError)
 from .groups import cyclic_group
 from .gsets import GSet, GSetMap, Span, compose_spans, terminal_map
-from .indexing import CheckReport
 
 
 def _is_prime(p):
@@ -81,7 +81,7 @@ class CoefficientSystem:
 
 
 def _table(raw, n):
-    tab = tuple(tuple(int(x) for x in row) for row in raw)
+    tab = tuple(tuple(map(int, row)) for row in raw)
     if len(tab) != n or any(len(row) != n for row in tab):
         raise ValidationError("operation table must be square")
     if any(not 0 <= x < n for row in tab for x in row):
@@ -97,23 +97,46 @@ def nested_product(mul, xs):
     return out
 
 
-class CpUnitalMagma:
-    """Unital magma structures on both levels of a coefficient system,
-    with an equivariant transfer."""
+class _TwoLevelStructure:
+    """Operation tables with units on both levels of a coefficient system
+    and a transfer t from level e to level G, range-checked against the
+    carriers; equal by value.  Subclasses add their axioms."""
 
     __slots__ = ("base", "mul_e", "unit_e", "mul_g", "unit_g", "t")
 
-    def __init__(self, base: CoefficientSystem, mul_e, unit_e, mul_g, unit_g, t,
-                 validate=True, norm_axiom=False):
+    def __init__(self, base: CoefficientSystem, mul_e, unit_e, mul_g, unit_g, t):
+        ne, ng = base.size_e, base.size_g
         self.base = base
-        self.mul_e = _table(mul_e, base.size_e)
+        self.mul_e = _table(mul_e, ne)
         self.unit_e = int(unit_e)
-        self.mul_g = _table(mul_g, base.size_g)
+        self.mul_g = _table(mul_g, ng)
         self.unit_g = int(unit_g)
         self.t = tuple(int(x) for x in t)
-        if len(self.t) != base.size_e or any(
-                not 0 <= x < base.size_g for x in self.t):
+        if not (0 <= self.unit_e < ne and 0 <= self.unit_g < ng):
+            raise ValidationError("units must lie in their carriers")
+        if len(self.t) != ne or any(not 0 <= x < ng for x in self.t):
             raise ValidationError("t must map level e to level G")
+
+    def key(self):
+        return (self.base.key(), self.mul_e, self.unit_e, self.mul_g,
+                self.unit_g, self.t)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+
+class CpUnitalMagma(_TwoLevelStructure):
+    """Unital magma structures on both levels of a coefficient system,
+    with an equivariant transfer."""
+
+    __slots__ = ()
+
+    def __init__(self, base: CoefficientSystem, mul_e, unit_e, mul_g, unit_g, t,
+                 validate=True, norm_axiom=False):
+        super().__init__(base, mul_e, unit_e, mul_g, unit_g, t)
         if validate:
             rep = validate_magma(self, norm_axiom=norm_axiom)
             if not rep:
@@ -125,16 +148,6 @@ class CpUnitalMagma:
     def norm(self, x):
         return nested_product(self.mul_e,
                               [self.base.act(g, x) for g in range(self.base.p)])
-
-    def key(self):
-        return (self.base.key(), self.mul_e, self.unit_e, self.mul_g,
-                self.unit_g, self.t)
-
-    def __eq__(self, other):
-        return isinstance(other, CpUnitalMagma) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
 
 def validate_magma(m: CpUnitalMagma, norm_axiom: bool = False) -> CheckReport:
@@ -282,33 +295,18 @@ def check_interchange(pair: InterchangePair,
     return CheckReport(True)
 
 
-class SemiMackeyFunctor:
+class SemiMackeyFunctor(_TwoLevelStructure):
     """Commutative monoids at both levels with restriction and transfer
     satisfying the double coset law r(t(x)) = product of the orbit of x."""
 
-    __slots__ = ("base", "mul_e", "unit_e", "mul_g", "unit_g", "t")
+    __slots__ = ()
 
     def __init__(self, base, mul_e, unit_e, mul_g, unit_g, t, validate=True):
-        self.base = base
-        self.mul_e = _table(mul_e, base.size_e)
-        self.unit_e = int(unit_e)
-        self.mul_g = _table(mul_g, base.size_g)
-        self.unit_g = int(unit_g)
-        self.t = tuple(int(x) for x in t)
+        super().__init__(base, mul_e, unit_e, mul_g, unit_g, t)
         if validate:
             rep = semi_mackey_check(self)
             if not rep:
                 raise ValidationError(f"not a semi-Mackey functor: {rep}")
-
-    def key(self):
-        return (self.base.key(), self.mul_e, self.unit_e, self.mul_g,
-                self.unit_g, self.t)
-
-    def __eq__(self, other):
-        return isinstance(other, SemiMackeyFunctor) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def as_magma(self, norm_axiom: bool = False) -> CpUnitalMagma:
         return CpUnitalMagma(self.base, self.mul_e, self.unit_e, self.mul_g,
@@ -653,6 +651,9 @@ def pair_from_json(text: str, norm_axiom: bool = False) -> InterchangePair:
             magmas.append(CpUnitalMagma(
                 base, part["mul_e"], data.get("unit_e", 0), part["mul_g"],
                 data.get("unit_g", 0), part["t"], norm_axiom=norm_axiom))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"pair JSON missing field: {exc}") from exc
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"pair JSON missing field or not an integer: "
+                              f"{exc}") from exc
     return InterchangePair(magmas[0], magmas[1])

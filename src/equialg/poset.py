@@ -11,6 +11,30 @@ def fingerprint(obj) -> str:
     return hashlib.sha1(text.encode()).hexdigest()[:10]
 
 
+def closure_lattice(core, atoms, join) -> list:
+    """Every join of `core` with a set of `atoms`, by frontier search.
+
+    Nodes are hashable closed sets told apart by equality, ordered by `<=`;
+    `join(x, a)` is the least closed node above both.  Each node enters the
+    frontier once, so no (node, atom) pair is joined twice.  Returns the
+    nodes in discovery order, `core` first.
+    """
+    found = {core: None}
+    frontier = [core]
+    while frontier:
+        new = []
+        for x in frontier:
+            for a in atoms:
+                if a <= x:
+                    continue
+                j = join(x, a)
+                if j not in found:
+                    found[j] = None
+                    new.append(j)
+        frontier = new
+    return list(found)
+
+
 class Poset:
     """A finite poset over externally supplied nodes.
 

@@ -7,7 +7,7 @@ from itertools import product
 from math import comb
 
 from equialg import Subgroup, cyclic_group, subgroups
-from equialg.category import category_of_system, system_of_category
+from equialg.category import WeakIndexingCategory
 from equialg.connectivity import (ExtInt, INF, RepDimension, conn_join_bound,
                                   disk_conn_c2, disk_conn_value,
                                   non_additivity_witness)
@@ -74,10 +74,11 @@ def test_criterion_2_weak_indexing_equivalence():
             (C4, 12, ["unital", "almost_unital"])]:
         for which in filters:
             for s in enumerate_systems(group, cutoff, which):
-                back = system_of_category(category_of_system(s))
+                back = WeakIndexingCategory.from_system(s).to_system()
                 ok = ok and back.admissible == s.admissible
-                cat = category_of_system(s)
-                ok = ok and category_of_system(system_of_category(cat)) == cat
+                cat = WeakIndexingCategory.from_system(s)
+                ok = ok and WeakIndexingCategory.from_system(
+                    cat.to_system()) == cat
     counts = {}
     for group, cutoff in [(C2, 6), (C4, 12)]:
         t_small = level_tables(group, cutoff)

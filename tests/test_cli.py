@@ -92,6 +92,17 @@ def test_eh_check_corrupted_pair_is_input_error(tmp_path, capsys):
     assert code == 1 and "interchange precondition" in err
 
 
+@pytest.mark.parametrize("unit_e", [7, "x"])
+def test_eh_check_bad_unit_exit_1(tmp_path, capsys, unit_e):
+    pair = enumerate_interchanging_pairs(2, 2, 2)[-1]
+    data = json.loads(pair_to_json(pair))
+    data["unit_e"] = unit_e
+    f = tmp_path / "pair.json"
+    f.write_text(json.dumps(data))
+    code, _, err = run(capsys, "eh-check", "--pair", str(f))
+    assert code == 1 and err.startswith("error:")
+
+
 def test_eh_check_malformed_file_exit_1(tmp_path, capsys):
     f = tmp_path / "junk.json"
     f.write_text("{oops")
@@ -136,10 +147,4 @@ def test_conn_ev_witness(capsys):
 
 def test_conn_missing_mode_exit_1(capsys):
     code, _, _ = run(capsys, "conn")
-    assert code == 1
-
-
-def test_workers_flag_validated(capsys):
-    code, _, _ = run(capsys, "enumerate", "--group", "cyclic:2",
-                     "--workers", "0")
     assert code == 1

@@ -1,18 +1,25 @@
 """Weak indexing systems and categories, transfer systems, enumeration."""
+import gc
+import os
+import subprocess
+import sys
+import textwrap
+import weakref
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
+import equialg
 from equialg import ValidationError, cyclic_group, trivial_group
-from equialg.category import (WeakIndexingCategory, category_of_system,
-                              close_category, enumerate_categories,
-                              generate_category, i_complete, i_trivial,
+from equialg.category import (WeakIndexingCategory, close_category,
+                              enumerate_categories, generate_category,
+                              i_complete, i_trivial,
                               is_weak_indexing_category, iso_classes,
-                              map_class_of, map_class_universe,
-                              system_of_category)
+                              map_class_of, map_class_universe)
 from equialg.groups import Subgroup
 from equialg.gsets import GSet, GSetMap, orbit_projection, terminal_map
-from equialg.indexing import (WeakIndexingSystem, close_system,
+from equialg.indexing import (LevelTables, WeakIndexingSystem, close_system,
                               enumerate_systems, enumerate_transfer_systems,
                               f_complete, f_infinity, f_trivial, f_zero, join,
                               level_tables, meet, system_check,
@@ -75,7 +82,7 @@ def test_restriction_violation_detected():
 def test_full_category_valid():
     t = level_tables(C2, 4)
     u = map_class_universe(t)
-    assert is_weak_indexing_category(t, frozenset(u), u)
+    assert is_weak_indexing_category(t, frozenset(u))
 
 
 def test_isos_only_valid():
@@ -92,19 +99,40 @@ def test_isos_plus_fold_fails_with_pullback_witness():
     assert f == map_class_of(t, fold_map(C2))
 
 
+def test_class_beyond_cutoff_rejected():
+    t = level_tables(C2, 4)
+    beyond = ((0, len(t.classes[0])),)
+    with pytest.raises(ValidationError):
+        is_weak_indexing_category(t, set(iso_classes(t)) | {beyond})
+    with pytest.raises(ValidationError):
+        close_category(t, [beyond])
+
+
+def test_category_caches_die_with_their_tables():
+    """The map-class operations are owned by the tables, so checking and
+    closing on directly built tables pins nothing once they are dropped."""
+    t = LevelTables(cyclic_group(3), 3)
+    closed = close_category(t, [], unital=True)
+    assert is_weak_indexing_category(t, closed)
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None
+
+
 # -- conversions ------------------------------------------------------------
 
 def test_system_of_category_named_examples():
     t = level_tables(C2, 6)
-    assert system_of_category(i_trivial(t)).admissible == f_trivial(t).admissible
-    assert system_of_category(i_complete(t)).admissible == f_complete(t).admissible
-    zero = category_of_system(f_zero(t, (0, 1)))
-    assert system_of_category(zero).admissible == f_zero(t, (0, 1)).admissible
+    assert i_trivial(t).to_system().admissible == f_trivial(t).admissible
+    assert i_complete(t).to_system().admissible == f_complete(t).admissible
+    zero = WeakIndexingCategory.from_system(f_zero(t, (0, 1)))
+    assert zero.to_system().admissible == f_zero(t, (0, 1)).admissible
 
 
 def test_f_infinity_category_is_folds_plus_isos():
     t = level_tables(C2, 4)
-    cat = category_of_system(f_infinity(t))
+    cat = WeakIndexingCategory.from_system(f_infinity(t))
     for mc in cat.map_classes():
         for (h, cid) in mc:
             assert all(k == t.h_class_rep[h][h] for k in t.classes[h][cid])
@@ -113,10 +141,10 @@ def test_f_infinity_category_is_folds_plus_isos():
 def test_round_trip_on_every_enumerated_system_over_c2():
     t = level_tables(C2, 6)
     for s in enumerate_systems(C2, 6, "all"):
-        back = system_of_category(category_of_system(s))
+        back = WeakIndexingCategory.from_system(s).to_system()
         assert back.admissible == s.admissible
     for cat in [i_trivial(t), i_complete(t)]:
-        assert category_of_system(system_of_category(cat)) == cat
+        assert WeakIndexingCategory.from_system(cat.to_system()) == cat
 
 
 def test_unit_family_and_predicates():
@@ -149,6 +177,29 @@ def test_meet_is_valid_and_greatest_lower_bound():
         for c in nodes:
             if c <= a and c <= b:
                 assert c <= m
+
+
+def test_meet_theorem_check_survives_optimized_mode():
+    """Under `python -O` a failing check inside `meet` still raises."""
+    script = textwrap.dedent("""
+        import sys
+        import equialg.indexing as ix
+        from equialg import CheckReport, TheoremViolation, cyclic_group
+        t = ix.level_tables(cyclic_group(2), 4)
+        ix.system_check = lambda s: CheckReport(False, "forced")
+        try:
+            ix.meet(ix.f_trivial(t), ix.f_complete(t))
+        except TheoremViolation as exc:
+            group, cutoff, rep = exc.witness
+            sys.exit(0 if (group, cutoff, rep.axiom) == ("C2", 4, "forced")
+                     else 2)
+        sys.exit(1)
+    """)
+    src = str(Path(equialg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_join_is_least_upper_bound_against_exhaustive_poset():
@@ -249,11 +300,10 @@ def test_dual_path_enumeration_c2():
 
 def test_category_enumeration_nodes_are_valid_and_segal_structured():
     cutoff = 4
-    u = map_class_universe(level_tables(C2, cutoff))
     pc = enumerate_categories(C2, cutoff, "all")
     t = level_tables(C2, cutoff)
     for n in pc.nodes[::17]:
-        assert is_weak_indexing_category(t, n, u)
+        assert is_weak_indexing_category(t, n)
     for n in pc.nodes:
         wic = WeakIndexingCategory.from_map_classes(t, n)
         assert wic.map_classes() == n

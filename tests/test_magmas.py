@@ -243,6 +243,18 @@ def test_pair_json_round_trip_and_errors():
         eckmann_hilton(broken)
 
 
+@pytest.mark.parametrize("cls", [CpUnitalMagma, SemiMackeyFunctor])
+@pytest.mark.parametrize("bad", [
+    {"unit_e": 7}, {"unit_e": -1}, {"unit_g": 2}, {"t": [0]},
+    {"t": [0, 0, 0]}, {"t": [0, 2]}, {"t": [0, -1]}])
+def test_out_of_range_tables_rejected_on_construction(cls, bad):
+    args = dict(base=BASE22, mul_e=Z2, unit_e=0, mul_g=Z2, unit_g=0,
+                t=[0, 0])
+    args.update(bad)
+    with pytest.raises(ValidationError):
+        cls(validate=False, **args)
+
+
 def test_theorem_violation_is_loud():
     m = z2_magma([0, 0])
     sm = eckmann_hilton(InterchangePair(m, m))
