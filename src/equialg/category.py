@@ -99,11 +99,6 @@ def map_class_of(tables: LevelTables, f: GSetMap) -> tuple:
     return tuple(sorted(comps))
 
 
-def structure_class(tables: LevelTables, hi: int, cid: int) -> tuple:
-    """Class of the structure map (induced H-set over the orbit G/H)."""
-    return (component(tables, hi, cid),)
-
-
 def iso_classes(tables: LevelTables) -> set:
     """Classes of isomorphisms: all fibers are one-point sets."""
     reps = sorted({tables.lat.class_rep(i) for i in range(tables.n_sids)})
@@ -483,8 +478,10 @@ class WeakIndexingCategory:
         return self.contains_class(map_class_of(self.tables, f))
 
     def map_classes(self, guard: int = 400_000) -> frozenset:
-        universe = map_class_universe(self.tables, guard)
-        return frozenset(mc for mc in universe if self.contains_class(mc))
+        """The map classes within the cutoff that lie in this category;
+        `guard` bounds the first build of the tables' universe."""
+        return frozenset(mc for mc in _ops_for(self.tables, guard).classes
+                         if self.contains_class(mc))
 
     def to_system(self) -> WeakIndexingSystem:
         """Admissible H-sets are those whose structure map lies in the

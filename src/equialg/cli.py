@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .connectivity import (conn_join_bound, disk_conn_c2,
@@ -39,14 +39,11 @@ class RunConfig:
     filter: str = "all"
     output: str | None = None
     format: str = "text"
-    max_carrier: int = 4
     norm_axiom: bool = False
 
     def __post_init__(self):
         if self.format not in ("json", "dot", "text"):
             raise ValidationError(f"unknown format {self.format!r}")
-        if self.max_carrier <= 0:
-            raise ValidationError("the carrier guard must be positive")
 
     def resolve_group(self) -> FiniteGroup:
         spec = self.group_spec
@@ -101,8 +98,6 @@ def cmd_eh_check(cfg: RunConfig, pair_file: str | None, sweep, p: int) -> int:
                                    "t": list(sm.t)}, sort_keys=True))
         return EXIT_OK
     max_e, max_g = sweep
-    if max_e > cfg.max_carrier or max_g > cfg.max_carrier:
-        raise GuardExceededError("sweep bounds exceed the carrier guard")
     pairs = enumerate_interchanging_pairs(p, max_e, max_g,
                                           norm_axiom=cfg.norm_axiom)
     for pair in pairs:
@@ -151,7 +146,10 @@ def cmd_conn(cfg: RunConfig, all_pairs: bool, ev, ev_set: str | None,
         a, b = ev
         if ev_set is None:
             raise ValidationError("--ev needs --set")
-        parts = [int(x) for x in ev_set.split(",")]
+        try:
+            parts = [int(x) for x in ev_set.split(",")]
+        except ValueError as exc:
+            raise ValidationError(f"--set needs integers: {ev_set!r}") from exc
         if level == "e":
             if len(parts) != 1:
                 raise ValidationError("level e arity is a single count")
@@ -219,31 +217,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "Eckmann-Hilton checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--group", default="cyclic:2",
-                       help="cyclic:n or a path to a group JSON table")
-        p.add_argument("--cutoff", type=int, default=None)
-        p.add_argument("--output", default=None)
-        p.add_argument("--format", default="text",
-                       choices=["json", "dot", "text"])
-        p.add_argument("--max-carrier", type=int, default=4)
-        p.add_argument("--norm-axiom", action="store_true",
-                       help="read multiplication-by-p as the orbit product")
+    shared = {"--group": dict(dest="group_spec", default="cyclic:2",
+                              help="cyclic:n or a path to a group JSON table"),
+              "--cutoff": dict(type=int, default=None),
+              "--output": dict(default=None),
+              "--format": dict(default="text", choices=["json", "dot", "text"]),
+              "--norm-axiom": dict(
+                  action="store_true",
+                  help="read multiplication-by-p as the orbit product")}
+
+    def options(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p_enum = sub.add_parser("enumerate", help="enumerate indexing posets")
-    common(p_enum)
+    options(p_enum, "--group", "--cutoff", "--output", "--format")
     p_enum.add_argument("--filter", default="all",
                         choices=["all", "unital", "almost_unital"])
     p_enum.add_argument("--transfer-systems", action="store_true")
 
     p_eh = sub.add_parser("eh-check", help="Eckmann-Hilton verification")
-    common(p_eh)
+    options(p_eh, "--output", "--norm-axiom")
     p_eh.add_argument("--pair", default=None, help="pair JSON file")
     p_eh.add_argument("--sweep", nargs=2, type=int, metavar=("MAX_E", "MAX_G"))
     p_eh.add_argument("--p", type=int, default=2)
 
     p_conn = sub.add_parser("conn", help="connectivity reports")
-    common(p_conn)
+    options(p_conn, "--group", "--cutoff", "--output")
     p_conn.add_argument("--all-pairs", action="store_true")
     p_conn.add_argument("--nodes", nargs=2, metavar=("I", "J"),
                         help="two node fingerprints (or trivial/complete)")
@@ -258,11 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(group_spec=args.group, cutoff=args.cutoff,
-                        filter=getattr(args, "filter", "all"),
-                        output=args.output, format=args.format,
-                        max_carrier=args.max_carrier,
-                        norm_axiom=args.norm_axiom)
+        names = {f.name for f in fields(RunConfig)}
+        cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in names})
         if args.command == "enumerate":
             code = cmd_enumerate(cfg, transfer_systems=args.transfer_systems)
         elif args.command == "eh-check":

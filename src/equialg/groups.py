@@ -65,13 +65,6 @@ class FiniteGroup:
             x = self.mul(x, a)
         return x
 
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
     @property
     def elements(self) -> range:
         return range(self.order)
@@ -103,8 +96,15 @@ class FiniteGroup:
             raise ValidationError(f"bad group JSON: {exc}") from exc
         if not isinstance(data, dict) or "mul" not in data:
             raise ValidationError("group JSON needs a 'mul' table")
-        g = cls(data["mul"], name=str(data.get("name", "")))
-        if "order" in data and int(data["order"]) != g.order:
+        try:
+            g = cls(data["mul"], name=str(data.get("name", "")))
+            order = int(data.get("order", g.order))
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"group JSON 'mul' and 'order' must be "
+                                  f"integers: {exc}") from exc
+        if order != g.order:
             raise ValidationError("declared order does not match table size")
         return g
 
@@ -180,10 +180,6 @@ class Subgroup:
 
     def conjugate_by(self, g: int) -> "Subgroup":
         return Subgroup(self.parent, {self.parent.conj(g, a) for a in self.members})
-
-    def is_normal(self) -> bool:
-        return all(self.conjugate_by(g).members == self.members
-                   for g in self.parent.elements)
 
     @property
     def embedding(self) -> tuple:

@@ -78,7 +78,6 @@ class LevelTables:
             self.class_id.append({c: i for i, c in enumerate(lst)})
             self.cls_size.append(tuple(self._size_of(hi, c) for c in lst))
         self._res_cache: dict = {}
-        self._ind_cache: dict = {}
         self._conj_cache: dict = {}
         self._coprod_cache: dict = {}
         self._orbit_res_cache: dict = {}
@@ -161,16 +160,6 @@ class LevelTables:
             out.extend(self.restrict_orbit(hi, ki, li))
         res = self.encode(ki, tuple(out))
         self._res_cache[key] = res
-        return res
-
-    def induce_cls(self, ki: int, hi: int, cid: int):
-        """Induction of a K-set class up to H >= K; None if unrepresentable."""
-        key = (ki, hi, cid)
-        if key in self._ind_cache:
-            return self._ind_cache[key]
-        cls = self.classes[ki][cid]
-        res = self.encode(hi, tuple(self.h_class_rep[hi][m] for m in cls))
-        self._ind_cache[key] = res
         return res
 
     def conj_cls(self, g: int, hi: int, cid: int):

@@ -11,8 +11,14 @@ the action is trivial (in particular on every carrier the exhaustive sweep
 reaches).
 
 The engine is a falsification harness: `eckmann_hilton` checks its
-preconditions, then asserts the conclusions pointwise and raises
+preconditions, then checks each conclusion once (the two structures
+coincide, and their common structure passes `semi_mackey_check`) and raises
 `TheoremViolation` with a witness if any fails.
+
+The two exhaustive sweeps, of interchanging pairs and of semi-Mackey
+functors, draw their candidates from one generator, `_candidates`, which
+also holds their one guard: a non-prime p is a `ValidationError`, and p > 3
+or a carrier larger than `SWEEP_GUARD` is a `GuardExceededError`.
 """
 from __future__ import annotations
 
@@ -127,6 +133,14 @@ class _TwoLevelStructure:
     def __hash__(self):
         return hash(self.key())
 
+    def pow_p(self, x):
+        return nested_product(self.mul_e, [x] * self.base.p)
+
+    def norm(self, x):
+        """The level-e product over the C_p-orbit of x."""
+        return nested_product(self.mul_e,
+                              [self.base.act(g, x) for g in range(self.base.p)])
+
 
 class CpUnitalMagma(_TwoLevelStructure):
     """Unital magma structures on both levels of a coefficient system,
@@ -141,13 +155,6 @@ class CpUnitalMagma(_TwoLevelStructure):
             rep = validate_magma(self, norm_axiom=norm_axiom)
             if not rep:
                 raise ValidationError(f"not a C_p-unital magma: {rep}")
-
-    def pow_p(self, x):
-        return nested_product(self.mul_e, [x] * self.base.p)
-
-    def norm(self, x):
-        return nested_product(self.mul_e,
-                              [self.base.act(g, x) for g in range(self.base.p)])
 
 
 def validate_magma(m: CpUnitalMagma, norm_axiom: bool = False) -> CheckReport:
@@ -394,31 +401,32 @@ def semi_mackey_check(sm: SemiMackeyFunctor) -> CheckReport:
     for x in range(ne):
         if sm.t[base.sigma[x]] != sm.t[x]:
             return CheckReport(False, "t-equivariant", (x,))
-    norm = lambda x: nested_product(
-        sm.mul_e, [base.act(g, x) for g in range(p)])
     for x in range(ne):
-        if base.r[sm.t[x]] != norm(x):
+        if base.r[sm.t[x]] != sm.norm(x):
             return CheckReport(False, "double-coset-law",
-                               (x, base.r[sm.t[x]], norm(x)))
+                               (x, base.r[sm.t[x]], sm.norm(x)))
     span, free = _span_rt_composite(p)
     run = evaluate_span_endo(sm, span, free)
     for x in range(ne):
-        if run(x) != norm(x):
+        if run(x) != sm.norm(x):
             return CheckReport(False, "double-coset-span-path",
-                               (x, run(x), norm(x)))
+                               (x, run(x), sm.norm(x)))
     return CheckReport(True)
 
 
 def eckmann_hilton(pair: InterchangePair,
                    norm_axiom: bool = False) -> SemiMackeyFunctor:
-    """The Eckmann-Hilton conclusion, asserted pointwise.
+    """The Eckmann-Hilton conclusion, checked once.
 
     Rejects pairs failing the interchange precondition with
-    ValidationError; raises TheoremViolation with a witness if any of the
-    proved consequences fails on a pair that passed it.  The double coset
-    law is asserted in the orbit-product form; under the default literal
-    reading of multiplication-by-p the two forms agree on every carrier
-    with trivial action, and a divergence is falsifying evidence.
+    ValidationError.  On a pair that passed it, the two structures must
+    coincide, and their common structure must be a semi-Mackey functor
+    (`semi_mackey_check`: commutative monoids, and the double coset law in
+    the orbit-product form); a failure raises TheoremViolation carrying the
+    differing values or the failing CheckReport as witness.  Under the
+    default literal reading of multiplication-by-p the two forms of the
+    law agree on every carrier with trivial action, and a divergence is
+    falsifying evidence.
     """
     for m, name in [(pair.star, "star"), (pair.bullet, "bullet")]:
         rep = validate_magma(m, norm_axiom=norm_axiom)
@@ -428,34 +436,18 @@ def eckmann_hilton(pair: InterchangePair,
     if not rep:
         raise ValidationError(f"interchange precondition fails: {rep}")
     s, b = pair.star, pair.bullet
-    base = pair.base
     if s.mul_e != b.mul_e or s.mul_g != b.mul_g:
         raise TheoremViolation("interchanging multiplications differ",
                                (s.mul_e, b.mul_e, s.mul_g, b.mul_g))
     if s.t != b.t:
         raise TheoremViolation("interchanging transfers differ", (s.t, b.t))
-    for (mul, n, level) in [(s.mul_e, base.size_e, "e"),
-                            (s.mul_g, base.size_g, "G")]:
-        for x, y in product(range(n), repeat=2):
-            if mul[x][y] != mul[y][x]:
-                raise TheoremViolation(
-                    f"multiplication at level {level} not commutative",
-                    (x, y))
-            for z in range(n):
-                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                    raise TheoremViolation(
-                        f"multiplication at level {level} not associative",
-                        (x, y, z))
-    for x in range(base.size_e):
-        norm = nested_product(s.mul_e,
-                              [base.act(g, x) for g in range(base.p)])
-        if base.r[s.t[x]] != norm:
-            raise TheoremViolation("double coset law fails",
-                                   (x, base.r[s.t[x]], norm))
-    try:
-        return SemiMackeyFunctor(base, s.mul_e, s.unit_e, s.mul_g, s.unit_g, s.t)
-    except ValidationError as exc:
-        raise TheoremViolation(f"output is not a semi-Mackey functor: {exc}")
+    sm = SemiMackeyFunctor(pair.base, s.mul_e, s.unit_e, s.mul_g, s.unit_g,
+                           s.t, validate=False)
+    rep = semi_mackey_check(sm)
+    if not rep:
+        raise TheoremViolation(f"output is not a semi-Mackey functor: {rep}",
+                               rep)
+    return sm
 
 
 def pair_of_semi_mackey(sm: SemiMackeyFunctor) -> InterchangePair:
@@ -470,6 +462,9 @@ def pair_of_semi_mackey(sm: SemiMackeyFunctor) -> InterchangePair:
 
 
 # -- exhaustive enumeration ------------------------------------------------
+
+SWEEP_GUARD = 4  # largest carrier size either sweep visits
+
 
 def _unital_tables(n):
     """All tables on 0..n-1 with 0 a two-sided unit."""
@@ -492,31 +487,29 @@ def _sigmas(n, p):
     return out
 
 
+def _candidates(p, max_e, max_g):
+    """Every candidate of both sweeps as (base, mul_e, mul_g, t): carrier
+    sizes up to the bounds, 0 the unit at both levels and r(0) = t(0) = 0.
+    Holds the sweeps' one guard."""
+    if not _is_prime(p):
+        raise ValidationError("p must be prime")
+    if p > 3 or max_e > SWEEP_GUARD or max_g > SWEEP_GUARD:
+        raise GuardExceededError("sweep bounds exceed the guard")
+    for ne in range(1, max_e + 1):
+        for ng in range(1, max_g + 1):
+            for sigma in _sigmas(ne, p):
+                fixed = [x for x in range(ne) if sigma[x] == x]
+                for r in product(fixed, repeat=ng - 1):
+                    base = CoefficientSystem(p, ne, sigma, ng, (0,) + r)
+                    for mul_e in _unital_tables(ne):
+                        for mul_g in _unital_tables(ng):
+                            for t in product(range(ng), repeat=ne - 1):
+                                yield base, mul_e, mul_g, (0,) + t
+
+
 def _relabelings(n):
     """Carrier bijections fixing the unit 0."""
     return [(0,) + rest for rest in permutations(range(1, n))]
-
-
-def _relabel_pair(pair: InterchangePair, pe, pg):
-    base = pair.base
-
-    def tab(mul, perm):
-        n = len(perm)
-        return tuple(tuple(perm[mul[_inv(perm)[i]][_inv(perm)[j]]]
-                           for j in range(n)) for i in range(n))
-
-    def vec(v, out_perm, in_perm):
-        return tuple(out_perm[v[_inv(in_perm)[i]]] for i in range(len(v)))
-
-    sigma = vec(base.sigma, pe, pe)
-    r = vec(base.r, pe, pg)
-    nb = CoefficientSystem(base.p, base.size_e, sigma, base.size_g, r)
-    out = []
-    for m in [pair.star, pair.bullet]:
-        out.append(CpUnitalMagma(
-            nb, tab(m.mul_e, pe), pe[m.unit_e], tab(m.mul_g, pg),
-            pg[m.unit_g], vec(m.t, pg, pe), validate=False))
-    return InterchangePair(out[0], out[1])
 
 
 def _inv(perm):
@@ -526,56 +519,46 @@ def _inv(perm):
     return out
 
 
+def _relabel_table(mul, perm, inv):
+    return tuple(tuple(perm[mul[a][c]] for c in inv) for a in inv)
+
+
 def canonical_pair_key(pair: InterchangePair) -> tuple:
+    """The least `InterchangePair.key()` over the relabelings of both
+    carriers that fix 0, built directly as tuples."""
+    b = pair.base
     best = None
-    for pe in _relabelings(pair.base.size_e):
-        for pg in _relabelings(pair.base.size_g):
-            k = _relabel_pair(pair, pe, pg).key()
+    for pe in _relabelings(b.size_e):
+        ie = _inv(pe)
+        sigma = tuple(pe[b.sigma[i]] for i in ie)
+        for pg in _relabelings(b.size_g):
+            ig = _inv(pg)
+            base_key = (b.p, b.size_e, sigma, b.size_g,
+                        tuple(pe[b.r[i]] for i in ig))
+            k = tuple((base_key, _relabel_table(m.mul_e, pe, ie), pe[m.unit_e],
+                       _relabel_table(m.mul_g, pg, ig), pg[m.unit_g],
+                       tuple(pg[m.t[i]] for i in ie))
+                      for m in (pair.star, pair.bullet))
             if best is None or k < best:
                 best = k
     return best
 
 
-def _valid_magmas(p, ne, ng, norm_axiom=False):
-    """All valid C_p-unital magmas on carriers of exact sizes, grouped by
-    shared coefficient system."""
-    by_base = {}
-    for sigma in _sigmas(ne, p):
-        fixed = [x for x in range(ne) if sigma[x] == x]
-        for r in product(fixed, repeat=ng):
-            if r[0] != 0:
-                continue
-            try:
-                base = CoefficientSystem(p, ne, sigma, ng, r)
-            except ValidationError:
-                continue
-            for mul_e in _unital_tables(ne):
-                for mul_g in _unital_tables(ng):
-                    for t in product(range(ng), repeat=ne):
-                        if t[0] != 0:
-                            continue
-                        m = CpUnitalMagma(base, mul_e, 0, mul_g, 0, t,
-                                          validate=False)
-                        if validate_magma(m, norm_axiom=norm_axiom):
-                            by_base.setdefault(base.key(), []).append(m)
-    return by_base
-
-
-def enumerate_interchanging_pairs(p, max_e, max_g, norm_axiom=False,
-                                  guard: int = 4) -> list:
+def enumerate_interchanging_pairs(p, max_e, max_g, norm_axiom=False) -> list:
     """All interchanging pairs with carrier sizes up to the bounds, one per
     isomorphism class of pairs, in canonical order."""
-    if not _is_prime(p) or p > 3 or max_e > guard or max_g > guard:
-        raise GuardExceededError("pair sweep bounds exceed the guard")
+    by_base = {}
+    for base, mul_e, mul_g, t in _candidates(p, max_e, max_g):
+        m = CpUnitalMagma(base, mul_e, 0, mul_g, 0, t, validate=False)
+        if validate_magma(m, norm_axiom=norm_axiom):
+            by_base.setdefault(base, []).append(m)
     found = {}
-    for ne in range(1, max_e + 1):
-        for ng in range(1, max_g + 1):
-            for base_key, magmas in _valid_magmas(p, ne, ng, norm_axiom).items():
-                for m1 in magmas:
-                    for m2 in magmas:
-                        pair = InterchangePair(m1, m2)
-                        if check_interchange(pair, norm_axiom=norm_axiom):
-                            found.setdefault(canonical_pair_key(pair), pair)
+    for magmas in by_base.values():
+        for m1 in magmas:
+            for m2 in magmas:
+                pair = InterchangePair(m1, m2)
+                if check_interchange(pair, norm_axiom=norm_axiom):
+                    found.setdefault(canonical_pair_key(pair), pair)
     return [found[k] for k in sorted(found)]
 
 
@@ -583,25 +566,10 @@ def enumerate_semi_mackey(p, max_e, max_g) -> list:
     """All semi-Mackey functors with carrier sizes up to the bounds, one
     per isomorphism class, in canonical order (independent enumeration)."""
     found = {}
-    for ne in range(1, max_e + 1):
-        for ng in range(1, max_g + 1):
-            for sigma in _sigmas(ne, p):
-                fixed = [x for x in range(ne) if sigma[x] == x]
-                for r in product(fixed, repeat=ng):
-                    if r[0] != 0:
-                        continue
-                    base = CoefficientSystem(p, ne, sigma, ng, r)
-                    for mul_e in _unital_tables(ne):
-                        for mul_g in _unital_tables(ng):
-                            for t in product(range(ng), repeat=ne):
-                                if t[0] != 0:
-                                    continue
-                                sm = SemiMackeyFunctor(
-                                    base, mul_e, 0, mul_g, 0, t, validate=False)
-                                if semi_mackey_check(sm):
-                                    pair = pair_of_semi_mackey(sm)
-                                    found.setdefault(
-                                        canonical_pair_key(pair), sm)
+    for base, mul_e, mul_g, t in _candidates(p, max_e, max_g):
+        sm = SemiMackeyFunctor(base, mul_e, 0, mul_g, 0, t, validate=False)
+        if semi_mackey_check(sm):
+            found.setdefault(canonical_pair_key(pair_of_semi_mackey(sm)), sm)
     return [found[k] for k in sorted(found)]
 
 

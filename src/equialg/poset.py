@@ -71,9 +71,6 @@ class Poset:
                 out.append((i, j))
         return out
 
-    def down_set(self, i: int) -> frozenset:
-        return frozenset(j for j in range(len(self.nodes)) if self.le[j][i])
-
     def minimal(self) -> list:
         n = len(self.nodes)
         return [i for i in range(n)

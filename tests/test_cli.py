@@ -121,6 +121,28 @@ def test_eh_check_sweep_guard(capsys):
     assert code == 2
 
 
+def test_eh_check_sweep_non_prime_p_exit_1(capsys):
+    code, _, err = run(capsys, "eh-check", "--sweep", "1", "1", "--p", "4")
+    assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--max-carrier", "7"],
+    ["enumerate", "--norm-axiom"],
+    ["eh-check", "--sweep", "1", "1", "--group", "cyclic:9"],
+    ["eh-check", "--sweep", "1", "1", "--cutoff", "3"],
+    ["eh-check", "--sweep", "1", "1", "--format", "dot"],
+    ["eh-check", "--sweep", "1", "1", "--max-carrier", "7"],
+    ["conn", "--ev-witness", "2", "2", "--format", "dot"],
+    ["conn", "--ev-witness", "2", "2", "--max-carrier", "7"],
+    ["conn", "--ev-witness", "2", "2", "--norm-axiom"]])
+def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_conn_all_pairs_c4(capsys):
     code, out, _ = run(capsys, "conn", "--group", "cyclic:4", "--all-pairs")
     assert code == 0
@@ -148,3 +170,18 @@ def test_conn_ev_witness(capsys):
 def test_conn_missing_mode_exit_1(capsys):
     code, _, _ = run(capsys, "conn")
     assert code == 1
+
+
+def test_conn_ev_non_integer_set_exit_1(capsys):
+    code, _, err = run(capsys, "conn", "--ev", "1", "2", "--set", "2,x")
+    assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("table", [
+    {"mul": [[0, 1], [1, "x"]]}, {"mul": 5},
+    {"mul": [[0, 1], [1, 0]], "order": "two"}])
+def test_enumerate_malformed_group_file_exit_1(tmp_path, capsys, table):
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(table))
+    code, _, err = run(capsys, "enumerate", "--group", str(f))
+    assert code == 1 and err.startswith("error:")

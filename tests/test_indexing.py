@@ -138,6 +138,24 @@ def test_f_infinity_category_is_folds_plus_isos():
             assert all(k == t.h_class_rep[h][h] for k in t.classes[h][cid])
 
 
+def test_map_classes_reads_the_tables_universe(monkeypatch):
+    import equialg.category
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return map_class_universe(*args, **kwargs)
+
+    monkeypatch.setattr(equialg.category, "map_class_universe", counted)
+    t = level_tables(C2, 6)
+    cat = WeakIndexingCategory.from_system(f_infinity(t))
+    first = cat.map_classes()
+    builds.clear()
+    for _ in range(5):
+        assert cat.map_classes() == first
+    assert builds == []
+
+
 def test_round_trip_on_every_enumerated_system_over_c2():
     t = level_tables(C2, 6)
     for s in enumerate_systems(C2, 6, "all"):

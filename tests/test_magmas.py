@@ -1,9 +1,11 @@
 """C_p-unital magmas, interchange, Eckmann-Hilton, semi-Mackey functors."""
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from equialg.errors import TheoremViolation, ValidationError
+import equialg.magmas
+from equialg.errors import (CheckReport, GuardExceededError,
+                            TheoremViolation, ValidationError)
 from equialg.magmas import (CoefficientSystem, CpUnitalMagma, InterchangePair,
                             SemiMackeyFunctor, canonical_pair_key,
                             check_interchange, eckmann_hilton,
@@ -217,11 +219,57 @@ def test_norm_reading_sweep_matches_semi_mackey_at_size_3():
 
 
 def test_sweep_guard():
-    from equialg.errors import GuardExceededError
-    with pytest.raises(GuardExceededError):
-        enumerate_interchanging_pairs(2, 5, 5)
-    with pytest.raises(GuardExceededError):
-        enumerate_interchanging_pairs(5, 2, 2)
+    # one guard for both sweeps; at size 5 a sweep would visit 5^16 tables
+    for sweep in (enumerate_interchanging_pairs, enumerate_semi_mackey):
+        for bounds in [(2, 5, 5), (2, 5, 1), (2, 1, 5), (5, 2, 2), (5, 1, 1)]:
+            with pytest.raises(GuardExceededError):
+                sweep(*bounds)
+        for p in (1, 4):
+            with pytest.raises(ValidationError):
+                sweep(p, 1, 1)
+
+
+def _reference_canonical_key(pair, norm_axiom):
+    """Least key over relabeled pairs built by the validating constructors."""
+    b = pair.base
+    best = None
+    for pe in [(0,) + q for q in permutations(range(1, b.size_e))]:
+        for pg in [(0,) + q for q in permutations(range(1, b.size_g))]:
+            ie = [pe.index(i) for i in range(b.size_e)]
+            ig = [pg.index(i) for i in range(b.size_g)]
+            base = CoefficientSystem(b.p, b.size_e, [pe[b.sigma[j]] for j in ie],
+                                     b.size_g, [pe[b.r[j]] for j in ig])
+            star, bullet = [CpUnitalMagma(
+                base, [[pe[m.mul_e[i][j]] for j in ie] for i in ie],
+                pe[m.unit_e], [[pg[m.mul_g[i][j]] for j in ig] for i in ig],
+                pg[m.unit_g], [pg[m.t[j]] for j in ie], norm_axiom=norm_axiom)
+                for m in (pair.star, pair.bullet)]
+            key = InterchangePair(star, bullet).key()
+            if best is None or key < best:
+                best = key
+    return best
+
+
+@pytest.mark.parametrize("norm_axiom", [False, True])
+def test_canonical_pair_key_matches_relabeling_reference(norm_axiom):
+    pairs = enumerate_interchanging_pairs(2, 3, 2, norm_axiom=norm_axiom)
+    # a pair whose two structures differ, on carriers with 3! relabelings
+    base = CoefficientSystem(2, 2, [0, 1], 4, [0, 1, 0, 1])
+    pairs.append(InterchangePair(CpUnitalMagma(base, Z2, 0, Z4, 0, [0, 0]),
+                                 CpUnitalMagma(base, Z2, 0, Z4, 0, [0, 2])))
+    for pair in pairs:
+        assert canonical_pair_key(pair) == \
+            _reference_canonical_key(pair, norm_axiom)
+
+
+def test_eckmann_hilton_violation_carries_failing_report(monkeypatch):
+    failing = CheckReport(False, "synthetic", (0,))
+    monkeypatch.setattr(equialg.magmas, "semi_mackey_check",
+                        lambda sm: failing)
+    m = z2_magma([0, 0])
+    with pytest.raises(TheoremViolation) as exc:
+        eckmann_hilton(InterchangePair(m, m))
+    assert exc.value.witness is failing
 
 
 def test_pair_json_round_trip_and_errors():
