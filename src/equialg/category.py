@@ -16,7 +16,7 @@ routines, so their agreement is a real check of the equivalence.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from itertools import permutations
 
 from .errors import (CheckReport, CutoffOverflowError, GuardExceededError,
@@ -270,10 +270,25 @@ def sub_multisets(mc: tuple) -> set:
     return out
 
 
+def _mask(ids) -> int:
+    """Id set as an int bitmask; `_bits` reads one back."""
+    out = 0
+    for i in ids:
+        out |= 1 << i
+    return out
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class _Ops:
-    """Interned map classes of one `LevelTables` and lazily cached pair
-    operations on their ids.  Ids follow the sorted universe, so sorting
-    ids sorts the classes."""
+    """Interned map classes of one `LevelTables`, lazily cached pair
+    operations on their ids and the closure rules built from them.  Ids
+    follow the sorted universe, so sorting ids sorts the classes."""
 
     def __init__(self, tables: LevelTables, universe: list):
         self.tables = tables
@@ -294,6 +309,7 @@ class _Ops:
         self._pullback: dict = {}
         self._subs: dict = {}
         self._union: dict = {}
+        self._rules: dict = {}
 
     def encode_all(self, mcs):
         try:
@@ -335,6 +351,29 @@ class _Ops:
             else:
                 self._union[key] = -1
         return self._union[key]
+
+    def rules(self, u: int):
+        """The closure rules of class u, as bitmasks over ids: the classes
+        u forces alone (its summands, its pullbacks along every map to its
+        codomain), the mask of partners v that force something together
+        with u, and per partner (keyed by its one-bit mask) the classes the
+        pair forces (composites in both orders and the disjoint union)."""
+        if u not in self._rules:
+            unary = _mask(self.subs(u))
+            for g in self.by_cod[self.cod[u]]:
+                unary |= _mask(self.pullback(u, g))
+            partners = 0
+            forced = {}
+            for v in range(len(self.classes)):
+                out = _mask(self.compose(u, v)) | _mask(self.compose(v, u))
+                w = self.union(u, v)
+                if w >= 0:
+                    out |= 1 << w
+                if out:
+                    partners |= 1 << v
+                    forced[1 << v] = out
+            self._rules[u] = (unary, partners, forced)
+        return self._rules[u]
 
 
 def _ops_for(tables: LevelTables, guard: int = 400_000) -> _Ops:
@@ -386,38 +425,32 @@ def close_category(tables: LevelTables, seeds, unital: bool = False) -> frozense
     return frozenset(ops.classes[i] for i in ids)
 
 
-def _close_ids(ops, seed_ids, unital):
-    classes: set = set()
-    order: list = []
-    pending: deque = deque()
-
-    def add(u):
-        if u >= 0 and u not in classes:
-            classes.add(u)
-            order.append(u)
-            pending.append(u)
-
-    for u in ops.isos:
-        add(u)
-    if unital:
-        for u in ops.units:
-            add(u)
-    for u in seed_ids:
-        add(u)
-    while pending:
-        m = pending.popleft()
-        for sub in ops.subs(m):
-            add(sub)
-        for other in list(order):
-            add(ops.union(m, other))
-            for comp in ops.compose(m, other):
-                add(comp)
-            for comp in ops.compose(other, m):
-                add(comp)
-        for g in ops.by_cod[ops.cod[m]]:
-            for pb in ops.pullback(m, g):
-                add(pb)
-    return frozenset(classes)
+def _close_ids(ops, seed_ids, unital, base=frozenset()):
+    """Least closed id set containing `base`, the seeds, the isomorphisms
+    and, if `unital`, the units.  `base` must already be closed: pairs
+    with both members in it are never revisited.  Only classes outside it
+    enter the worklist; popping m applies m's unary rules and the pair
+    rules of m with every partner already in the set.  The pair rule is
+    symmetric in its two members, so whichever is popped later sees the
+    other."""
+    closed = _mask(base)
+    todo = _mask((*ops.isos, *(ops.units if unital else ()), *seed_ids))
+    todo &= ~closed
+    closed |= todo
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        unary, partners, forced = ops.rules(low.bit_length() - 1)
+        new = unary
+        both = partners & closed
+        while both:
+            v = both & -both
+            new |= forced[v]
+            both ^= v
+        new &= ~closed
+        closed |= new
+        todo |= new
+    return frozenset(_bits(closed))
 
 
 # -- the category value type and conversions ------------------------------
@@ -558,7 +591,7 @@ def enumerate_categories(group: FiniteGroup, cutoff: int,
     atoms = dict.fromkeys(_close_ids(ops, [u], unital)
                           for u in range(len(ops.classes)) if u not in core)
     found = closure_lattice(core, atoms,
-                            lambda x, a: _close_ids(ops, sorted(x | a), unital))
+                            lambda x, a: _close_ids(ops, a - x, unital, base=x))
     nodes = [frozenset(ops.classes[i] for i in ids) for ids in found]
     if which == "almost_unital":
         nodes = [n for n in nodes

@@ -94,7 +94,7 @@ def cmd_eh_check(cfg: RunConfig, pair_file: str | None, sweep, p: int) -> int:
         print(f"PASS: pair of size ({pair.base.size_e},{pair.base.size_g}) "
               "lifts to a semi-Mackey functor")
         if cfg.output:
-            _emit(cfg, json.dumps({"verdict": "PASS", "p": p,
+            _emit(cfg, json.dumps({"verdict": "PASS", "p": pair.base.p,
                                    "t": list(sm.t)}, sort_keys=True))
         return EXIT_OK
     max_e, max_g = sweep

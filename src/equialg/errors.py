@@ -1,4 +1,5 @@
-"""Exception types and the check report shared across the package."""
+"""Exception types, the check report and the integer check of the JSON
+readers, shared across the package."""
 
 
 class ValidationError(ValueError):
@@ -38,3 +39,13 @@ class CheckReport:
         if self.ok:
             return "CheckReport(ok)"
         return f"CheckReport(fail: {self.axiom}, witness={self.witness})"
+
+
+def require_ints(value, what: str):
+    """Raise ValidationError unless `value` is an int or a nested list of
+    ints.  A bool or a float (even 1.0) is rejected, never truncated."""
+    if isinstance(value, list):
+        for x in value:
+            require_ints(x, what)
+    elif type(value) is not int:
+        raise ValidationError(f"{what} must hold integers, not {value!r}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from itertools import product
 
-from .errors import ValidationError
+from .errors import ValidationError, require_ints
 
 
 class FiniteGroup:
@@ -96,15 +96,14 @@ class FiniteGroup:
             raise ValidationError(f"bad group JSON: {exc}") from exc
         if not isinstance(data, dict) or "mul" not in data:
             raise ValidationError("group JSON needs a 'mul' table")
+        require_ints([data["mul"], data.get("order", 0)],
+                     "group JSON 'mul' and 'order'")
         try:
             g = cls(data["mul"], name=str(data.get("name", "")))
-            order = int(data.get("order", g.order))
-        except ValidationError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"group JSON 'mul' and 'order' must be "
-                                  f"integers: {exc}") from exc
-        if order != g.order:
+        except TypeError as exc:
+            raise ValidationError(f"group JSON 'mul' must be a table of "
+                                  f"rows: {exc}") from exc
+        if data.get("order", g.order) != g.order:
             raise ValidationError("declared order does not match table size")
         return g
 

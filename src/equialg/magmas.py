@@ -26,7 +26,7 @@ import json
 from itertools import permutations, product
 
 from .errors import (CheckReport, GuardExceededError, TheoremViolation,
-                     ValidationError)
+                     ValidationError, require_ints)
 from .groups import cyclic_group
 from .gsets import GSet, GSetMap, Span, compose_spans, terminal_map
 
@@ -611,14 +611,15 @@ def pair_from_json(text: str, norm_axiom: bool = False) -> InterchangePair:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad pair JSON: {exc}") from exc
     try:
-        base = CoefficientSystem(data["p"], data["size_e"], data["sigma"],
-                                 data["size_g"], data["r"])
-        magmas = []
-        for name in ["star", "bullet"]:
-            part = data[name]
-            magmas.append(CpUnitalMagma(
-                base, part["mul_e"], data.get("unit_e", 0), part["mul_g"],
-                data.get("unit_g", 0), part["t"], norm_axiom=norm_axiom))
+        fields = [data[k] for k in ("p", "size_e", "sigma", "size_g", "r")]
+        units = [data.get("unit_e", 0), data.get("unit_g", 0)]
+        parts = [[data[name][k] for k in ("mul_e", "mul_g", "t")]
+                 for name in ("star", "bullet")]
+        require_ints([fields, units, parts], "pair JSON")
+        base = CoefficientSystem(*fields)
+        magmas = [CpUnitalMagma(base, mul_e, units[0], mul_g, units[1], t,
+                                norm_axiom=norm_axiom)
+                  for mul_e, mul_g, t in parts]
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

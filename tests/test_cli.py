@@ -75,6 +75,33 @@ def test_eh_check_pair_file_pass(tmp_path, capsys):
     assert code == 0 and "PASS" in out
 
 
+def test_eh_check_pair_verdict_reports_the_pairs_p(tmp_path, capsys):
+    pair = enumerate_interchanging_pairs(3, 2, 2)[-1]
+    f, out = tmp_path / "pair.json", tmp_path / "verdict.json"
+    f.write_text(pair_to_json(pair))
+    code, _, _ = run(capsys, "eh-check", "--pair", str(f), "--output", str(out))
+    assert code == 0
+    assert json.loads(out.read_text())["p"] == 3
+
+
+@pytest.mark.parametrize("path, value", [
+    (("star", "mul_e", 0, 0), 0.5), (("bullet", "t", 1), True),
+    (("sigma", 1), 1.9), (("p",), 2.0), (("unit_g",), False)])
+def test_eh_check_non_integral_pair_exit_1(tmp_path, capsys, path, value):
+    # each value equals the entry it replaces once cast with int()
+    data = json.loads(pair_to_json(enumerate_interchanging_pairs(2, 2, 2)[-1]))
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    assert target[last] == int(value)
+    target[last] = value
+    f = tmp_path / "pair.json"
+    f.write_text(json.dumps(data))
+    code, _, err = run(capsys, "eh-check", "--pair", str(f))
+    assert code == 1 and err.startswith("error:")
+
+
 def test_eh_check_corrupted_pair_is_input_error(tmp_path, capsys):
     # transfers that are not coupled: precondition failure, exit 1 not 3
     text = json.dumps({
@@ -179,7 +206,9 @@ def test_conn_ev_non_integer_set_exit_1(capsys):
 
 @pytest.mark.parametrize("table", [
     {"mul": [[0, 1], [1, "x"]]}, {"mul": 5},
-    {"mul": [[0, 1], [1, 0]], "order": "two"}])
+    {"mul": [[0, 1], [1, 0]], "order": "two"},
+    {"mul": [[0, 1], [1, 0.5]]}, {"mul": [[0, True], [1, 0]]},
+    {"mul": [[0, 1], [1, 0]], "order": 2.0}])
 def test_enumerate_malformed_group_file_exit_1(tmp_path, capsys, table):
     f = tmp_path / "g.json"
     f.write_text(json.dumps(table))

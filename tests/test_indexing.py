@@ -1,6 +1,7 @@
 """Weak indexing systems and categories, transfer systems, enumeration."""
 import gc
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -12,9 +13,9 @@ import pytest
 
 import equialg
 from equialg import ValidationError, cyclic_group, trivial_group
-from equialg.category import (WeakIndexingCategory, close_category,
-                              enumerate_categories, generate_category,
-                              i_complete, i_trivial,
+from equialg.category import (WeakIndexingCategory, _close_ids, _ops_for,
+                              close_category, enumerate_categories,
+                              generate_category, i_complete, i_trivial,
                               is_weak_indexing_category, iso_classes,
                               map_class_of, map_class_universe)
 from equialg.groups import Subgroup
@@ -303,17 +304,56 @@ def test_trivial_minimum_is_trivial_system():
             assert bottom.admissible == f_trivial(bottom.tables).admissible
 
 
-def test_dual_path_enumeration_c2():
+@pytest.mark.parametrize("which", ["all", "unital", "almost_unital"])
+def test_dual_path_enumeration_c2(which):
     """System-side and map-class-side enumerations agree in count and order."""
     cutoff = 4
-    pc = enumerate_categories(C2, cutoff, "all")
-    ps = enumerate_systems(C2, cutoff, "all")
+    pc = enumerate_categories(C2, cutoff, which)
+    ps = enumerate_systems(C2, cutoff, which)
     assert len(pc) == len(ps)
     t = level_tables(C2, cutoff)
     sys_of = [WeakIndexingCategory.from_map_classes(t, n).to_system()
               for n in pc.nodes]
     pairing = [ps.index(s) for s in sys_of]
     assert pc.is_isomorphic_via(ps, pairing)
+
+
+def _literal_join(t, ops, x, a, unital):
+    """Reference join, blind to the closure's rule index: from x | a (and
+    the units), add the class each failing literal check names."""
+    ids = set(x | a) | (set(ops.units) if unital else set())
+    while True:
+        rep = is_weak_indexing_category(t, [ops.classes[i] for i in ids])
+        if rep:
+            return frozenset(ids)
+        ids.add(ops.id_of[rep.witness if rep.axiom == "wide"
+                          else rep.witness[-1]])
+
+
+def _node_atom_pairs(cutoff, which):
+    t = level_tables(C2, cutoff)
+    ops = _ops_for(t)
+    unital = which == "unital"
+    core = _close_ids(ops, [], unital)
+    atoms = {_close_ids(ops, [u], unital)
+             for u in range(len(ops.classes)) if u not in core}
+    nodes = [frozenset(ops.encode_all(n))
+             for n in enumerate_categories(C2, cutoff, which)]
+    return t, ops, sorted(((x, a) for x in nodes for a in atoms
+                           if not a <= x),
+                          key=lambda xa: (sorted(xa[0]), sorted(xa[1])))
+
+
+@pytest.mark.parametrize("cutoff, which, sample", [
+    (3, "all", None), (3, "unital", None), (4, "all", 12)])
+def test_incremental_closure_matches_literal_fixpoint(cutoff, which, sample):
+    t, ops, pairs = _node_atom_pairs(cutoff, which)
+    if sample is not None:
+        pairs = random.Random(cutoff).sample(pairs, sample)
+    unital = which == "unital"
+    for x, a in pairs:
+        assert _close_ids(ops, a - x, unital, base=x) == \
+            _literal_join(t, ops, x, a, unital)
 
 
 def test_category_enumeration_nodes_are_valid_and_segal_structured():
