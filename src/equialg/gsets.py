@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from itertools import product
 
-from .errors import GuardExceededError, ValidationError
+from .errors import GuardExceededError, ValidationError, require_ints
 from .groups import FiniteGroup, Subgroup, subgroup_lattice
 
 
@@ -128,10 +128,17 @@ class GSet:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"bad G-set JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValidationError("G-set JSON must be an object")
         if data.get("group") not in (None, group.name):
             raise ValidationError("G-set JSON names a different group")
-        s = cls(group, data["act"])
-        if "points" in data and int(data["points"]) != s.size:
+        try:
+            require_ints([data["act"], data.get("points", 0)], "G-set JSON")
+            s = cls(group, data["act"])
+        except (KeyError, TypeError) as exc:
+            raise ValidationError("G-set JSON missing or malformed field: "
+                                  f"{exc}") from exc
+        if "points" in data and data["points"] != s.size:
             raise ValidationError("declared point count does not match table")
         return s
 
@@ -458,6 +465,7 @@ class Span:
             apex = GSet.from_json(json.dumps(data["apex"]), group)
             source = GSet.from_json(json.dumps(data["source"]), group)
             target = GSet.from_json(json.dumps(data["target"]), group)
+            require_ints([data["left"], data["right"]], "span JSON")
             left = GSetMap(apex, source, data["left"])
             right = GSetMap(apex, target, data["right"])
         except (KeyError, TypeError) as exc:

@@ -18,12 +18,17 @@ coincide, and their common structure passes `semi_mackey_check`) and raises
 The two exhaustive sweeps, of interchanging pairs and of semi-Mackey
 functors, draw their candidates from one generator, `_candidates`, which
 also holds their one guard: a non-prime p is a `ValidationError`, and p > 3
-or a carrier larger than `SWEEP_GUARD` is a `GuardExceededError`.
+or a carrier larger than `SWEEP_GUARD` is a `GuardExceededError`.  It
+prunes on the axioms both full checks share, and the pair sweep checks
+interchange only between magmas with transposed tables; both sweeps return
+what generate-and-test returns, in the same order (see `_candidates` and
+`enumerate_interchanging_pairs`).
 """
 from __future__ import annotations
 
 import json
-from itertools import permutations, product
+from itertools import groupby, permutations, product
+from operator import itemgetter
 
 from .errors import (CheckReport, GuardExceededError, TheoremViolation,
                      ValidationError, require_ints)
@@ -334,34 +339,32 @@ def evaluate_span_endo(sm: SemiMackeyFunctor, span: Span, free: GSet):
     """Evaluate a span from the free orbit to itself on level-e values.
 
     Pull along the left leg, push along the right leg; free orbits carry
-    level-e values twisted by the transporting group element, fixed orbits
-    carry level-G values moved by r and t.
+    level-e values twisted by the transporting group element.  The apex of
+    the double-coset span is free (C_p x C_p over a point is p free
+    orbits); an apex orbit of another size raises TheoremViolation with
+    (p, the orbit, its size) as witness.
     """
     base = sm.base
     p = base.p
-    apex = span.apex
+    orbits = span.apex.orbits()
+    for orbit in orbits:
+        if len(orbit) != p:
+            raise TheoremViolation("apex of the double-coset span is not free",
+                                   (p, orbit, len(orbit)))
+    base_point = free.orbits()[0][0]
 
-    def transport(s, x, rep):
-        return min(g for g in range(p) if s.act[g][rep] == x)
+    def transport(img):
+        return min(g for g in range(p) if free.act[g][base_point] == img)
+
+    # per apex orbit: twist by the pull, then untwist by the push
+    moves = [(transport(span.left.on_points[orbit[0]]),
+              (-transport(span.right.on_points[orbit[0]])) % p)
+             for orbit in orbits]
 
     def run(v):
-        # pull: value at each apex orbit rep
-        vals = []
-        reps = [orbit[0] for orbit in apex.orbits()]
-        for rep in reps:
-            img = span.left.on_points[rep]
-            a = transport(free, img, free.orbits()[0][0])
-            orbit_size = len(next(o for o in apex.orbits() if rep in o))
-            assert orbit_size == p  # apex of the double-coset span is free
-            vals.append(base.act(a, v))
-        # push: multiply contributions at the target's base point
         out = sm.unit_e
-        target_rep = free.orbits()[0][0]
-        for rep, val in zip(reps, vals):
-            img = span.right.on_points[rep]
-            b = transport(free, img, target_rep)
-            moved = base.act((-b) % p, val)
-            out = sm.mul_e[out][moved]
+        for a, b in moves:
+            out = sm.mul_e[out][base.act(b, base.act(a, v))]
         return out
 
     return run
@@ -466,10 +469,14 @@ def pair_of_semi_mackey(sm: SemiMackeyFunctor) -> InterchangePair:
 SWEEP_GUARD = 4  # largest carrier size either sweep visits
 
 
-def _unital_tables(n):
-    """All tables on 0..n-1 with 0 a two-sided unit."""
+def _unital_tables(n, cell_values=None):
+    """The tables on 0..n-1 with 0 a two-sided unit whose non-unit cells,
+    in row-major order, take their values from `cell_values` (any value by
+    default); lexicographic in those cells."""
     cells = [(i, j) for i in range(1, n) for j in range(1, n)]
-    for fill in product(range(n), repeat=len(cells)):
+    if cell_values is None:
+        cell_values = [range(n)] * len(cells)
+    for fill in product(*cell_values):
         tab = [[0] * n for _ in range(n)]
         for i in range(n):
             tab[0][i] = tab[i][0] = i
@@ -487,10 +494,26 @@ def _sigmas(n, p):
     return out
 
 
+def _t_multiplicative(mul_e, mul_g, t):
+    """t(x·y) = t(x)·t(y), tested off the unit row and column, where unital
+    tables and t(0) = 0 make it hold."""
+    n = len(t)
+    return all(t[mul_e[x][y]] == mul_g[t[x]][t[y]]
+               for x in range(1, n) for y in range(1, n))
+
+
 def _candidates(p, max_e, max_g):
     """Every candidate of both sweeps as (base, mul_e, mul_g, t): carrier
-    sizes up to the bounds, 0 the unit at both levels and r(0) = t(0) = 0.
-    Holds the sweeps' one guard."""
+    sizes up to the bounds, 0 the unit at both levels, r(0) = t(0) = 0.
+    Holds the sweeps' one guard.
+
+    The four axioms that `validate_magma` and `semi_mackey_check` share are
+    tested where their tables are first fixed: action-multiplicativity on
+    mul_e; r-multiplicativity, which narrows each cell of mul_g to an
+    r-preimage, while mul_g is built; t-equivariance and
+    t-multiplicativity on t.  What is dropped fails both full checks, which
+    still decide, so the survivors and their order are those of the full
+    product."""
     if not _is_prime(p):
         raise ValidationError("p must be prime")
     if p > 3 or max_e > SWEEP_GUARD or max_g > SWEEP_GUARD:
@@ -499,12 +522,27 @@ def _candidates(p, max_e, max_g):
         for ng in range(1, max_g + 1):
             for sigma in _sigmas(ne, p):
                 fixed = [x for x in range(ne) if sigma[x] == x]
-                for r in product(fixed, repeat=ng - 1):
-                    base = CoefficientSystem(p, ne, sigma, ng, (0,) + r)
+                inv = _inv(sigma)
+                # t(0) = 0 and t∘sigma = t
+                ts = [t for t in product(range(ng), repeat=ne)
+                      if t[0] == 0 and tuple(map(t.__getitem__, sigma)) == t]
+                for rest in product(fixed, repeat=ng - 1):
+                    r = (0,) + rest
+                    base = CoefficientSystem(p, ne, sigma, ng, r)
+                    preimage = {}
+                    for v in range(ng):
+                        preimage.setdefault(r[v], []).append(v)
                     for mul_e in _unital_tables(ne):
-                        for mul_g in _unital_tables(ng):
-                            for t in product(range(ng), repeat=ne - 1):
-                                yield base, mul_e, mul_g, (0,) + t
+                        # sigma is an automorphism of mul_e
+                        if _relabel_table(mul_e, sigma, inv) != mul_e:
+                            continue
+                        cell_values = [preimage.get(mul_e[r[i]][r[j]], ())
+                                       for i in range(1, ng)
+                                       for j in range(1, ng)]
+                        for mul_g in _unital_tables(ng, cell_values):
+                            for t in ts:
+                                if _t_multiplicative(mul_e, mul_g, t):
+                                    yield base, mul_e, mul_g, t
 
 
 def _relabelings(n):
@@ -546,16 +584,25 @@ def canonical_pair_key(pair: InterchangePair) -> tuple:
 
 def enumerate_interchanging_pairs(p, max_e, max_g, norm_axiom=False) -> list:
     """All interchanging pairs with carrier sizes up to the bounds, one per
-    isomorphism class of pairs, in canonical order."""
-    by_base = {}
-    for base, mul_e, mul_g, t in _candidates(p, max_e, max_g):
-        m = CpUnitalMagma(base, mul_e, 0, mul_g, 0, t, validate=False)
-        if validate_magma(m, norm_axiom=norm_axiom):
-            by_base.setdefault(base, []).append(m)
+    isomorphism class of pairs, in canonical order.
+
+    With both units 0, the instance a = z = 0 of the binary interchange
+    reads bullet(x, y) = star(y, x) at both levels, so each valid magma is
+    checked only against those of its base with the transposed tables, in
+    the order of the all-pairs loop: the pair kept per class is the same."""
     found = {}
-    for magmas in by_base.values():
-        for m1 in magmas:
-            for m2 in magmas:
+    for base, group in groupby(_candidates(p, max_e, max_g), itemgetter(0)):
+        valid = []
+        for _, mul_e, mul_g, t in group:
+            m = CpUnitalMagma(base, mul_e, 0, mul_g, 0, t, validate=False)
+            if validate_magma(m, norm_axiom=norm_axiom):
+                valid.append(m)
+        by_tables = {}
+        for m in valid:
+            by_tables.setdefault((m.mul_e, m.mul_g), []).append(m)
+        for m1 in valid:
+            for m2 in by_tables.get((tuple(zip(*m1.mul_e)),
+                                     tuple(zip(*m1.mul_g))), ()):
                 pair = InterchangePair(m1, m2)
                 if check_interchange(pair, norm_axiom=norm_axiom):
                     found.setdefault(canonical_pair_key(pair), pair)

@@ -2,9 +2,16 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdicts.
 """
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from itertools import product
 from math import comb
+from pathlib import Path
+
+import equialg
 
 from equialg import Subgroup, cyclic_group, subgroups
 from equialg.category import WeakIndexingCategory
@@ -235,3 +242,31 @@ def test_criterion_7_gset_adjunctions_and_double_cosets():
                     ok = ok and lhs.size == rhs.size and is_isomorphic(lhs, rhs)
                     checked += 1
     verdict(7, ok, f"{checked} adjunction and double-coset identities", t0, 120)
+
+
+def test_acceptance_smoke_survives_optimized_mode():
+    """The criterion-3 sweep at sizes <= 2, the semi-Mackey round trip and
+    one system enumeration run under `python -O`, which strips `assert`:
+    every check they rely on must still run."""
+    script = textwrap.dedent("""
+        from equialg import cyclic_group
+        from equialg.indexing import enumerate_systems
+        from equialg.magmas import (eckmann_hilton,
+                                    enumerate_interchanging_pairs,
+                                    enumerate_semi_mackey, pair_of_semi_mackey)
+        pairs = enumerate_interchanging_pairs(2, 2, 2)
+        for p in pairs:
+            eckmann_hilton(p)
+        sms = enumerate_semi_mackey(2, 2, 2)
+        round_trips = sum(
+            eckmann_hilton(pair_of_semi_mackey(s), norm_axiom=True).key()
+            == s.key() for s in sms)
+        systems = enumerate_systems(cyclic_group(2), 6, "unital")
+        print(len(pairs), len(sms), round_trips, len(systems))
+    """)
+    src = str(Path(equialg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["9", "9", "9", "6"]

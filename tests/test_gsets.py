@@ -1,4 +1,5 @@
 """G-set calculus: orbits, adjunctions, pullbacks, double cosets, spans."""
+import json
 from itertools import product
 
 import pytest
@@ -310,3 +311,25 @@ def test_span_json_round_trip():
     assert back.left == span.left and back.right == span.right
     with pytest.raises(ValidationError):
         Span.from_json('{"apex": {}}', C2)
+
+
+@pytest.mark.parametrize("text", [
+    '{"points": 2, "act": [[0, 1], [1, 0.5]]}',
+    '{"points": 2, "act": [[0, 1], [1.0, 0]]}',
+    '{"points": 2.7, "act": [[0, 1], [1, 0]]}',
+    '{"points": 2.0, "act": [[0, 1], [1, 0]]}',
+    '{"points": 2}', '{"act": 2}', '[[0, 1], [1, 0]]'])
+def test_gset_json_rejects_malformed_fields(text):
+    with pytest.raises(ValidationError):
+        GSet.from_json(text, C2)
+
+
+@pytest.mark.parametrize("leg,value", [
+    ("left", [0, 1.5]), ("left", [0.0, 1]), ("right", [0, 0.5]),
+    ("right", [0, False])])
+def test_span_json_rejects_non_integral_legs(leg, value):
+    free = GSet.regular(C2)
+    data = json.loads(Span(GSetMap.identity(free), terminal_map(free)).to_json())
+    data[leg] = value
+    with pytest.raises(ValidationError):
+        Span.from_json(json.dumps(data), C2)

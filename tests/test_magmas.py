@@ -1,16 +1,25 @@
 """C_p-unital magmas, interchange, Eckmann-Hilton, semi-Mackey functors."""
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
+import equialg
 import equialg.magmas
+from equialg import cyclic_group
 from equialg.errors import (CheckReport, GuardExceededError,
                             TheoremViolation, ValidationError)
+from equialg.gsets import GSet, GSetMap, Span
 from equialg.magmas import (CoefficientSystem, CpUnitalMagma, InterchangePair,
                             SemiMackeyFunctor, canonical_pair_key,
                             check_interchange, eckmann_hilton,
                             enumerate_interchanging_pairs,
-                            enumerate_semi_mackey, is_homomorphism,
+                            enumerate_semi_mackey, evaluate_span_endo,
+                            is_homomorphism,
                             pair_from_json, pair_homs, pair_of_semi_mackey,
                             pair_to_json, semi_mackey_check, semi_mackey_homs,
                             validate_magma)
@@ -218,6 +227,76 @@ def test_norm_reading_sweep_matches_semi_mackey_at_size_3():
         eckmann_hilton(p, norm_axiom=True)
 
 
+def _brute_force_sweeps(p, max_e, max_g):
+    """The generate-and-test sweeps the pruned ones replace: the full
+    product of bases, unital tables and transfers, the full checks on each
+    candidate, and `check_interchange` on every pair of valid magmas over
+    one base.  Returns the `key()` lists of the pairs under the literal and
+    the orbit-product reading and of the functors, each in sweep order."""
+    def unital_tables(n):
+        for fill in product(range(n), repeat=(n - 1) ** 2):
+            cells = iter(fill)
+            yield tuple(tuple(j if i == 0 else i if j == 0 else next(cells)
+                              for j in range(n)) for i in range(n))
+
+    def order_divides_p(sigma):
+        x = list(range(len(sigma)))
+        for _ in range(p):
+            x = [sigma[i] for i in x]
+        return x == list(range(len(sigma)))
+
+    valid = {False: {}, True: {}}
+    functors = {}
+    for ne in range(1, max_e + 1):
+        for ng in range(1, max_g + 1):
+            for sigma in permutations(range(ne)):
+                if sigma[0] != 0 or not order_divides_p(sigma):
+                    continue
+                fixed = [x for x in range(ne) if sigma[x] == x]
+                for r in product(fixed, repeat=ng - 1):
+                    base = CoefficientSystem(p, ne, sigma, ng, (0,) + r)
+                    for mul_e in unital_tables(ne):
+                        for mul_g in unital_tables(ng):
+                            for t in product(range(ng), repeat=ne - 1):
+                                t = (0,) + t
+                                m = CpUnitalMagma(base, mul_e, 0, mul_g, 0, t,
+                                                  validate=False)
+                                for norm_axiom in (False, True):
+                                    if validate_magma(m, norm_axiom=norm_axiom):
+                                        valid[norm_axiom].setdefault(
+                                            base, []).append(m)
+                                sm = SemiMackeyFunctor(base, mul_e, 0, mul_g,
+                                                       0, t, validate=False)
+                                if semi_mackey_check(sm):
+                                    functors.setdefault(canonical_pair_key(
+                                        pair_of_semi_mackey(sm)), sm)
+    out = []
+    for norm_axiom in (False, True):
+        found = {}
+        for magmas in valid[norm_axiom].values():
+            for m1 in magmas:
+                for m2 in magmas:
+                    pair = InterchangePair(m1, m2)
+                    if check_interchange(pair, norm_axiom=norm_axiom):
+                        found.setdefault(canonical_pair_key(pair), pair)
+        out.append([found[k].key() for k in sorted(found)])
+    out.append([functors[k].key() for k in sorted(functors)])
+    return out
+
+
+@pytest.mark.parametrize("box", [
+    (p, e, g) for p in (2, 3) for e in (1, 2) for g in (1, 2)]
+    + [(2, 3, 2), (2, 2, 3), (2, 3, 3)],
+    ids=lambda box: "p{}-{}x{}".format(*box))
+def test_pruned_sweeps_equal_brute_force(box):
+    literal, orbit_product, functors = _brute_force_sweeps(*box)
+    assert [q.key() for q in enumerate_interchanging_pairs(*box)] == literal
+    assert [q.key() for q in enumerate_interchanging_pairs(
+        *box, norm_axiom=True)] == orbit_product
+    assert [s.key() for s in enumerate_semi_mackey(*box)] == functors
+    assert literal and functors
+
+
 def test_sweep_guard():
     # one guard for both sweeps; at size 5 a sweep would visit 5^16 tables
     for sweep in (enumerate_interchanging_pairs, enumerate_semi_mackey):
@@ -270,6 +349,53 @@ def test_eckmann_hilton_violation_carries_failing_report(monkeypatch):
     with pytest.raises(TheoremViolation) as exc:
         eckmann_hilton(InterchangePair(m, m))
     assert exc.value.witness is failing
+
+
+def _span_with_fixed_apex_orbit():
+    """Transfer composed with restriction on C2, plus one fixed apex point
+    sent to a fixed point on either side."""
+    c2 = cyclic_group(2)
+    free, point = GSet.regular(c2), GSet.trivial(c2)
+    apex, ends = free + free + point, free + point
+    return Span(GSetMap(apex, ends, [0, 1, 1, 0, 2]),
+                GSetMap(apex, ends, [0, 1, 0, 1, 2])), free
+
+
+def test_span_path_rejects_a_non_free_apex():
+    span, free = _span_with_fixed_apex_orbit()
+    sm = SemiMackeyFunctor(BASE22, Z2, 0, Z2, 0, [0, 0])
+    with pytest.raises(TheoremViolation) as exc:
+        evaluate_span_endo(sm, span, free)
+    assert exc.value.witness == (2, [4], 1)
+
+
+def test_span_path_check_survives_optimized_mode():
+    """Under `python -O` the free-apex check of the span path still raises."""
+    script = textwrap.dedent("""
+        import sys
+        from equialg import TheoremViolation, cyclic_group
+        from equialg.gsets import GSet, GSetMap, Span
+        from equialg.magmas import (CoefficientSystem, SemiMackeyFunctor,
+                                    evaluate_span_endo)
+        c2 = cyclic_group(2)
+        free, point = GSet.regular(c2), GSet.trivial(c2)
+        apex, ends = free + free + point, free + point
+        span = Span(GSetMap(apex, ends, [0, 1, 1, 0, 2]),
+                    GSetMap(apex, ends, [0, 1, 0, 1, 2]))
+        base = CoefficientSystem(2, 2, [0, 1], 2, [0, 1])
+        z2 = [[0, 1], [1, 0]]
+        sm = SemiMackeyFunctor(base, z2, 0, z2, 0, [0, 0])
+        try:
+            evaluate_span_endo(sm, span, free)
+        except TheoremViolation as exc:
+            sys.exit(0 if exc.witness == (2, [4], 1) else 2)
+        sys.exit(1)
+    """)
+    src = str(Path(equialg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_pair_json_round_trip_and_errors():
