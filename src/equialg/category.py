@@ -11,8 +11,12 @@ This module works with explicit map-class sets: a literal validity checker
 and closure (composition via matchings, pullback against arbitrary maps,
 summand splitting and assembly, all isomorphisms), an exhaustive
 enumeration at small scale, and the conversions to and from the system
-encoding of `indexing.py`.  The two encodings are computed by independent
-routines, so their agreement is a real check of the equivalence.
+encoding of `indexing.py`.  Closure and enumeration run on the shared
+engine of `poset.close` and `poset.closure_lattice`, over int masks of
+class ids, with rules (`_Ops.rules`) built here from composites,
+pullbacks, summands and unions.  The two encodings' rules are computed by
+independent routines, so their agreement is a real check of the
+equivalence.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from .groups import FiniteGroup
 from .gsets import GSetMap
 from .indexing import (LevelTables, WeakIndexingSystem, close_system,
                        default_cutoff, level_tables, system_check)
-from .poset import Poset, closure_lattice
+from .poset import Poset, _bits, _mask, close, closure_lattice
 
 
 # -- map classes ----------------------------------------------------------
@@ -270,21 +274,6 @@ def sub_multisets(mc: tuple) -> set:
     return out
 
 
-def _mask(ids) -> int:
-    """Id set as an int bitmask; `_bits` reads one back."""
-    out = 0
-    for i in ids:
-        out |= 1 << i
-    return out
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class _Ops:
     """Interned map classes of one `LevelTables`, lazily cached pair
     operations on their ids and the closure rules built from them.  Ids
@@ -310,6 +299,10 @@ class _Ops:
         self._subs: dict = {}
         self._union: dict = {}
         self._rules: dict = {}
+
+    def core_mask(self, unital: bool) -> int:
+        """The isomorphisms and, if `unital`, the units."""
+        return _mask((*self.isos, *(self.units if unital else ())))
 
     def encode_all(self, mcs):
         try:
@@ -362,7 +355,6 @@ class _Ops:
             unary = _mask(self.subs(u))
             for g in self.by_cod[self.cod[u]]:
                 unary |= _mask(self.pullback(u, g))
-            partners = 0
             forced = {}
             for v in range(len(self.classes)):
                 out = _mask(self.compose(u, v)) | _mask(self.compose(v, u))
@@ -370,9 +362,8 @@ class _Ops:
                 if w >= 0:
                     out |= 1 << w
                 if out:
-                    partners |= 1 << v
                     forced[1 << v] = out
-            self._rules[u] = (unary, partners, forced)
+            self._rules[u] = (unary, sum(forced), forced)
         return self._rules[u]
 
 
@@ -418,39 +409,12 @@ def is_weak_indexing_category(tables: LevelTables, classes) -> CheckReport:
 
 
 def close_category(tables: LevelTables, seeds, unital: bool = False) -> frozenset:
-    """Least valid map-class set containing the seeds (literal fixpoint)."""
+    """Least valid map-class set containing the seeds, closed under the
+    rules of `_Ops.rules`."""
     ops = _ops_for(tables)
-    ids = _close_ids(ops, ops.encode_all(tuple(sorted(m)) for m in seeds),
-                     unital)
-    return frozenset(ops.classes[i] for i in ids)
-
-
-def _close_ids(ops, seed_ids, unital, base=frozenset()):
-    """Least closed id set containing `base`, the seeds, the isomorphisms
-    and, if `unital`, the units.  `base` must already be closed: pairs
-    with both members in it are never revisited.  Only classes outside it
-    enter the worklist; popping m applies m's unary rules and the pair
-    rules of m with every partner already in the set.  The pair rule is
-    symmetric in its two members, so whichever is popped later sees the
-    other."""
-    closed = _mask(base)
-    todo = _mask((*ops.isos, *(ops.units if unital else ()), *seed_ids))
-    todo &= ~closed
-    closed |= todo
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        unary, partners, forced = ops.rules(low.bit_length() - 1)
-        new = unary
-        both = partners & closed
-        while both:
-            v = both & -both
-            new |= forced[v]
-            both ^= v
-        new &= ~closed
-        closed |= new
-        todo |= new
-    return frozenset(_bits(closed))
+    seeds = _mask(ops.encode_all(tuple(sorted(m)) for m in seeds))
+    closed = close(ops.rules, ops.core_mask(unital) | seeds)
+    return frozenset(ops.classes[i] for i in _bits(closed))
 
 
 # -- the category value type and conversions ------------------------------
@@ -586,13 +550,9 @@ def enumerate_categories(group: FiniteGroup, cutoff: int,
     if len(ops.classes) > ground_guard:
         raise GuardExceededError(
             f"{len(ops.classes)} map classes exceed the guard of {ground_guard}")
-    unital = which == "unital"
-    core = _close_ids(ops, [], unital)
-    atoms = dict.fromkeys(_close_ids(ops, [u], unital)
-                          for u in range(len(ops.classes)) if u not in core)
-    found = closure_lattice(core, atoms,
-                            lambda x, a: _close_ids(ops, a - x, unital, base=x))
-    nodes = [frozenset(ops.classes[i] for i in ids) for ids in found]
+    found = closure_lattice(ops.rules, ops.core_mask(which == "unital"),
+                            (1 << len(ops.classes)) - 1)
+    nodes = [frozenset(ops.classes[i] for i in _bits(m)) for m in found]
     if which == "almost_unital":
         nodes = [n for n in nodes
                  if WeakIndexingCategory.from_map_classes(tables, n)

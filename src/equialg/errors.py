@@ -7,7 +7,12 @@ class ValidationError(ValueError):
 
 
 class CutoffOverflowError(ValueError):
-    """A computation needs objects larger than the active size cutoff."""
+    """A computation needs objects larger than the active size cutoff.
+    Carries a witness where the caller has one."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class GuardExceededError(RuntimeError):

@@ -51,9 +51,6 @@ class GSet:
     def points(self) -> range:
         return range(self.size)
 
-    def apply(self, g: int, x: int) -> int:
-        return self.act[g][x]
-
     def __eq__(self, other):
         return (isinstance(other, GSet) and self.group == other.group
                 and self.act == other.act)

@@ -13,18 +13,19 @@ H-set is representable exactly when the G-set induced from it fits the
 global cutoff; an empirical doubling test (enumerate at c and 2c) guards
 the truncation.
 
-Transfer systems, the lattice operations, generation / closure, and
-exhaustive enumeration live here as well.  The equivalent encoding by
-categories of G-set maps is in `category.py`.
+Closure, joins and exhaustive enumeration run on one int mask of classes
+per system, through `poset.close` over `LevelTables.rules`.  Transfer
+systems live here as well.  The equivalent encoding by categories of G-set
+maps is in `category.py`; it shares the engine but not the rules.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict
 
-from .errors import (CheckReport, GuardExceededError, TheoremViolation,
-                     ValidationError)
+from .errors import (CheckReport, CutoffOverflowError, GuardExceededError,
+                     TheoremViolation, ValidationError)
 from .groups import FiniteGroup, subgroup_lattice
-from .poset import Poset, closure_lattice
+from .poset import Poset, _bits, _mask, close, closure_lattice
 
 
 def _ok():
@@ -32,13 +33,13 @@ def _ok():
 
 
 class LevelTables:
-    """Shared per-(group, cutoff) tables: orbit types, class interning,
-    and cached restriction / induction / conjugation / coproduct operations.
+    """Shared per-(group, cutoff) tables: orbit types, class interning and
+    bit index, restriction / conjugation / coproduct on classes.
 
     Everything derived from one group and cutoff is cached here, so it
-    lives exactly as long as the tables: the enumerated posets and closed
-    cores of `enumerate_systems`, and the map-class operations of
-    `category` (built on first use).
+    lives exactly as long as the tables: orbit restrictions, the closure
+    rules of each class and the map-class operations of `category` (both
+    built on first use), and the posets and cores of `enumerate_systems`.
     """
 
     def __init__(self, group: FiniteGroup, cutoff: int):
@@ -77,10 +78,14 @@ class LevelTables:
             self.classes.append(lst)
             self.class_id.append({c: i for i, c in enumerate(lst)})
             self.cls_size.append(tuple(self._size_of(hi, c) for c in lst))
-        self._res_cache: dict = {}
-        self._conj_cache: dict = {}
-        self._coprod_cache: dict = {}
+        # class cid at level hi is bit offset[hi] + cid of a system's mask
+        self.offset = []
+        self.bit_class = []
+        for hi, lst in enumerate(self.classes):
+            self.offset.append(len(self.bit_class))
+            self.bit_class.extend((hi, cid) for cid in range(len(lst)))
         self._orbit_res_cache: dict = {}
+        self._rules: dict = {}      # bit -> closure rules of its class
         self.posets: dict = {}      # enumerate_systems filter -> Poset
         self.cores: dict = {}       # (core, seed levels) -> joins over core
         self.map_ops = None         # category._Ops over every map class
@@ -129,6 +134,27 @@ class LevelTables:
         """Class id at level hi, or None if it exceeds the level cutoff."""
         return self.class_id[hi].get(tuple(sorted(cls)))
 
+    def bit(self, hi: int, cid: int) -> int:
+        """Bit of class cid at level hi; an id outside the level is a
+        ValidationError, since its bit would name a class of another level."""
+        if not 0 <= cid < len(self.classes[hi]):
+            raise ValidationError(f"no class {cid!r} at level {hi}")
+        return self.offset[hi] + cid
+
+    def levels(self, mask: int) -> list:
+        """Per-level class-id sets of a mask."""
+        adm = [set() for _ in range(self.n_sids)]
+        for i in _bits(mask):
+            hi, cid = self.bit_class[i]
+            adm[hi].add(cid)
+        return adm
+
+    def seed_mask(self, unital_levels=()) -> int:
+        """The one-point set everywhere, the empty set at `unital_levels`."""
+        off = self.offset
+        return (_mask(off[hi] + self.star(hi) for hi in range(self.n_sids))
+                | _mask(off[hi] + self.empty(hi) for hi in unital_levels))
+
     # -- operations on classes ----------------------------------------
     def restrict_orbit(self, hi: int, ki: int, li: int) -> tuple:
         """Orbit types of Res^H_K (H/L) via double cosets K\\H/L."""
@@ -151,29 +177,19 @@ class LevelTables:
 
     def restrict_cls(self, hi: int, ki: int, cid: int):
         """Restriction to an actual subgroup K <= H; None if unrepresentable."""
-        key = (hi, ki, cid)
-        if key in self._res_cache:
-            return self._res_cache[key]
-        cls = self.classes[hi][cid]
         out = []
-        for li in cls:
+        for li in self.classes[hi][cid]:
             out.extend(self.restrict_orbit(hi, ki, li))
-        res = self.encode(ki, tuple(out))
-        self._res_cache[key] = res
-        return res
+        return self.encode(ki, tuple(out))
 
     def conj_cls(self, g: int, hi: int, cid: int):
         """Transport a class at level H to level gHg^-1."""
-        key = (g, hi, cid)
-        if key in self._conj_cache:
-            return self._conj_cache[key]
         hj = self._conj_sid(g, hi)
         cls = self.classes[hi][cid]
         res = self.encode(hj, tuple(self.h_class_rep[hj][self._conj_sid(g, k)]
                                     for k in cls))
         assert res is not None  # conjugation preserves size and level cutoff
-        self._conj_cache[key] = (hj, res)
-        return self._conj_cache[key]
+        return (hj, res)
 
     def coproduct_single(self, hi: int, cid_s: int, ki: int, cid_t: int):
         """Replace one orbit slot of type K in S by the induction of T.
@@ -183,17 +199,43 @@ class LevelTables:
         (shrinking slots first keeps intermediates within the cutoff), so
         closing under it closes under all indexed coproducts that fit.
         """
-        key = (hi, cid_s, ki, cid_t)
-        if key in self._coprod_cache:
-            return self._coprod_cache[key]
         cls = list(self.classes[hi][cid_s])
         assert ki in cls
         cls.remove(ki)
         ind = self.classes[ki][cid_t]
         cls.extend(self.h_class_rep[hi][m] for m in ind)
-        res = self.encode(hi, tuple(cls))
-        self._coprod_cache[key] = res
-        return res
+        return self.encode(hi, tuple(cls))
+
+    def rules(self, i: int):
+        """The `poset.close` rules of the class at bit i: alone it forces
+        its conjugates and restrictions; with a partner, the single-slot
+        coproducts of the pair with either one in the slot, so the pair
+        rule is symmetric."""
+        if i not in self._rules:
+            hi, cid = self.bit_class[i]
+            off = self.offset
+            unary = 0
+            if not self.abelian:
+                for g in self.group.elements:
+                    hj, moved = self.conj_cls(g, hi, cid)
+                    unary |= 1 << (off[hj] + moved)
+            for ki in self.sub_sids[hi]:
+                res = self.restrict_cls(hi, ki, cid) if ki != hi else None
+                if res is not None:
+                    unary |= 1 << (off[ki] + res)
+            forced = defaultdict(int)
+            for ki in set(self.classes[hi][cid]):       # i outside the slot
+                for tid in range(len(self.classes[ki])):
+                    out = self.coproduct_single(hi, cid, ki, tid)
+                    if out is not None:
+                        forced[1 << (off[ki] + tid)] |= 1 << (off[hi] + out)
+            for j, (hj, sid) in enumerate(self.bit_class):  # i in the slot
+                if hi in self.classes[hj][sid]:
+                    out = self.coproduct_single(hj, sid, hi, cid)
+                    if out is not None:
+                        forced[1 << j] |= 1 << (off[hj] + out)
+            self._rules[i] = (unary, sum(forced), dict(forced))
+        return self._rules[i]
 
     def weyl_canonical(self, hi: int, cid: int) -> int:
         """Least class in the orbit of cid under the normalizer of H."""
@@ -231,15 +273,19 @@ def default_cutoff(group: FiniteGroup) -> int:
 
 
 class WeakIndexingSystem:
-    """Admissible H-set classes for every subgroup H of a fixed group."""
+    """Admissible H-set classes for every subgroup H of a fixed group, also
+    held as one mask over the tables' class bits."""
 
-    __slots__ = ("tables", "admissible", "_key")
+    __slots__ = ("tables", "admissible", "mask", "_key")
 
     def __init__(self, tables: LevelTables, admissible, validate: bool = True):
         self.tables = tables
         self.admissible = tuple(frozenset(a) for a in admissible)
         if len(self.admissible) != tables.n_sids:
             raise ValidationError("need one admissible set per subgroup")
+        self.mask = _mask(tables.bit(hi, cid)
+                          for hi, adm in enumerate(self.admissible)
+                          for cid in adm)
         self._key = None
         if validate:
             rep = system_check(self)
@@ -254,9 +300,6 @@ class WeakIndexingSystem:
     def cutoff(self):
         return self.tables.cutoff
 
-    def contains(self, hi: int, cid: int) -> bool:
-        return cid in self.admissible[hi]
-
     def value_key(self) -> tuple:
         """Canonical cutoff-independent content: class tuples per level."""
         if self._key is None:
@@ -267,18 +310,17 @@ class WeakIndexingSystem:
         return self._key
 
     def sort_key(self):
-        return (sum(len(a) for a in self.admissible), self.value_key())
+        return (self.mask.bit_count(), self.value_key())
 
     def __eq__(self, other):
         return (isinstance(other, WeakIndexingSystem)
-                and self.tables is other.tables
-                and self.admissible == other.admissible)
+                and self.tables is other.tables and self.mask == other.mask)
 
     def __hash__(self):
-        return hash((id(self.tables), self.admissible))
+        return hash(self.mask)
 
     def __le__(self, other: "WeakIndexingSystem") -> bool:
-        return all(a <= b for a, b in zip(self.admissible, other.admissible))
+        return not self.mask & ~other.mask
 
     def __repr__(self):
         sizes = [len(a) for a in self.admissible]
@@ -378,49 +420,18 @@ def close_system(tables: LevelTables, seed, unital_levels=()) -> WeakIndexingSys
     recorded; the doubling test in the enumeration covers the truncation.
     """
     t = tables
-    adm = [set() for _ in range(t.n_sids)]
-    pending = deque()
-    slot_index = [[] for _ in range(t.n_sids)]  # per K: (H, S-cid) with a K slot
-
-    def add(hi, cid):
-        if cid is not None and cid not in adm[hi]:
-            adm[hi].add(cid)
-            pending.append((hi, cid))
-
-    for hi in range(t.n_sids):
-        add(hi, t.star(hi))
-    for hi in unital_levels:
-        add(hi, t.empty(hi))
-    for hi, cid in seed:
-        add(hi, cid)
-    while pending:
-        hi, cid = pending.popleft()
-        if not t.abelian:
-            for g in t.group.elements:
-                hj, moved = t.conj_cls(g, hi, cid)
-                add(hj, moved)
-        for ki in t.sub_sids[hi]:
-            if ki != hi:
-                add(ki, t.restrict_cls(hi, ki, cid))
-        for ki in set(t.classes[hi][cid]):
-            slot_index[ki].append((hi, cid))
-            for tid in sorted(adm[ki]):
-                add(hi, t.coproduct_single(hi, cid, ki, tid))
-        for (hj, sid) in list(slot_index[hi]):
-            add(hj, t.coproduct_single(hj, sid, hi, cid))
-    return WeakIndexingSystem(t, adm, validate=False)
+    seeds = t.seed_mask(unital_levels) | _mask(t.bit(hi, cid) for hi, cid in seed)
+    return WeakIndexingSystem(t, t.levels(close(t.rules, seeds)), validate=False)
 
 
 def join(a: WeakIndexingSystem, b: WeakIndexingSystem) -> WeakIndexingSystem:
+    """Least system above both; `a` must be a weak indexing system, since
+    `b` is closed over it without revisiting what `a` forces."""
     if a.tables is not b.tables:
         raise ValidationError("join needs a shared group and cutoff")
-    if b <= a:
-        return a
-    if a <= b:
-        return b
-    return close_system(a.tables,
-                        [(hi, c) for hi in range(a.tables.n_sids)
-                         for c in sorted(a.admissible[hi] | b.admissible[hi])])
+    t = a.tables
+    return WeakIndexingSystem(t, t.levels(close(t.rules, b.mask, a.mask)),
+                              validate=False)
 
 
 def meet(a: WeakIndexingSystem, b: WeakIndexingSystem) -> WeakIndexingSystem:
@@ -528,12 +539,12 @@ def _enumerate_over_core(tables, core_levels, seed_levels):
     t = tables
     key = (tuple(core_levels), tuple(seed_levels))
     if key not in t.cores:
-        core = close_system(t, [], unital_levels=core_levels)
-        atoms = dict.fromkeys(
-            close_system(t, [(hi, cid)], unital_levels=core_levels)
-            for hi in seed_levels for cid in range(len(t.classes[hi]))
-            if cid not in core.admissible[hi])
-        t.cores[key] = closure_lattice(core, atoms, join)
+        candidates = _mask(t.offset[hi] + cid for hi in seed_levels
+                           for cid in range(len(t.classes[hi])))
+        t.cores[key] = [
+            WeakIndexingSystem(t, t.levels(m), validate=False)
+            for m in closure_lattice(t.rules, t.seed_mask(core_levels),
+                                     candidates)]
     return t.cores[key]
 
 
@@ -627,8 +638,10 @@ def transfer_check(ts: TransferSystem) -> CheckReport:
 def transfer_system_of(sys: WeakIndexingSystem) -> TransferSystem:
     """K -> H transfer allowed iff the orbit H/K is admissible at H.
 
-    Only defined for unital systems, where the relation is a transfer
-    system on the nose.
+    Only defined for unital systems.  A valid system's relation is a
+    transfer system unless the cutoff truncates a restriction it needs
+    (Res^G_L(G/1) at a small cutoff): then CutoffOverflowError, with
+    witness (group, cutoff, failed transfer check).
     """
     if not sys.is_unital():
         raise ValidationError("transfer extraction needs a unital system")
@@ -639,7 +652,15 @@ def transfer_system_of(sys: WeakIndexingSystem) -> TransferSystem:
             orbit = t.encode(hi, (t.h_class_rep[hi][ki],))
             if orbit is not None and orbit in sys.admissible[hi]:
                 rel.add((ki, hi))
-    return TransferSystem(sys.group, rel)
+    ts = TransferSystem(sys.group, rel, validate=False)
+    rep = transfer_check(ts)
+    if not rep:
+        if not system_check(sys):
+            raise ValidationError("not a weak indexing system")
+        raise CutoffOverflowError(
+            f"{sys.group.name} at cutoff {sys.cutoff} truncates the "
+            f"transfer system: {rep}", (sys.group.name, sys.cutoff, rep))
+    return ts
 
 
 def enumerate_transfer_systems(group: FiniteGroup, pair_guard: int = 22) -> Poset:

@@ -1,4 +1,7 @@
-"""Small finite posets with Hasse-diagram and JSON export."""
+"""Small finite posets with Hasse-diagram and JSON export, and the one
+closure engine of both encodings of weak indexing systems: `close` and
+`closure_lattice` work on int bitmasks, with per-element rules supplied
+independently by `indexing.LevelTables` and `category._Ops`."""
 from __future__ import annotations
 
 import hashlib
@@ -11,23 +14,68 @@ def fingerprint(obj) -> str:
     return hashlib.sha1(text.encode()).hexdigest()[:10]
 
 
-def closure_lattice(core, atoms, join) -> list:
-    """Every join of `core` with a set of `atoms`, by frontier search.
+def _mask(ids) -> int:
+    """Id set as an int bitmask; `_bits` reads one back."""
+    out = 0
+    for i in ids:
+        out |= 1 << i
+    return out
 
-    Nodes are hashable closed sets told apart by equality, ordered by `<=`;
-    `join(x, a)` is the least closed node above both.  Each node enters the
-    frontier once, so no (node, atom) pair is joined twice.  Returns the
-    nodes in discovery order, `core` first.
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def close(rules, seeds: int, base: int = 0) -> int:
+    """Least closed mask containing `base`, which must be closed, and
+    `seeds`, by semi-naive evaluation.
+
+    `rules(i)` is (the mask i forces alone, the mask of its partners,
+    {partner's one-bit mask: the mask the pair forces}); the pair rule
+    must be symmetric.  Only elements outside `base` enter the worklist,
+    and popping m applies its pair rules with every partner already in the
+    set, so whichever member of a pair is popped later sees the other.
     """
+    closed = base
+    todo = seeds & ~closed
+    closed |= todo
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        unary, partners, forced = rules(low.bit_length() - 1)
+        new = unary
+        both = partners & closed
+        while both:
+            v = both & -both
+            new |= forced[v]
+            both ^= v
+        new &= ~closed
+        closed |= new
+        todo |= new
+    return closed
+
+
+def closure_lattice(rules, core_seeds: int, candidates: int) -> list:
+    """Every join of a core with a set of atoms, by frontier search: the
+    core closes `core_seeds`, each atom closes one bit of `candidates` over
+    the core, and node x joined with atom a is `close(rules, a, x)`.  Each
+    node enters the frontier once, so no (node, atom) pair is joined twice.
+    Returns the nodes as masks in discovery order, the core first."""
+    core = close(rules, core_seeds)
+    atoms = dict.fromkeys(close(rules, 1 << i, core)
+                          for i in _bits(candidates & ~core))
     found = {core: None}
     frontier = [core]
     while frontier:
         new = []
         for x in frontier:
             for a in atoms:
-                if a <= x:
+                if not a & ~x:
                     continue
-                j = join(x, a)
+                j = close(rules, a, x)
                 if j not in found:
                     found[j] = None
                     new.append(j)

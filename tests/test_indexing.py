@@ -13,12 +13,13 @@ import pytest
 
 import equialg
 from equialg import ValidationError, cyclic_group, trivial_group
-from equialg.category import (WeakIndexingCategory, _close_ids, _ops_for,
-                              close_category, enumerate_categories,
-                              generate_category, i_complete, i_trivial,
+from equialg.category import (WeakIndexingCategory, _ops_for, close_category,
+                              enumerate_categories, generate_category,
+                              i_complete, i_trivial,
                               is_weak_indexing_category, iso_classes,
                               map_class_of, map_class_universe)
-from equialg.groups import Subgroup
+from equialg.errors import CutoffOverflowError
+from equialg.groups import FiniteGroup, Subgroup
 from equialg.gsets import GSet, GSetMap, orbit_projection, terminal_map
 from equialg.indexing import (LevelTables, WeakIndexingSystem, close_system,
                               enumerate_systems, enumerate_transfer_systems,
@@ -26,10 +27,18 @@ from equialg.indexing import (LevelTables, WeakIndexingSystem, close_system,
                               level_tables, meet, system_check,
                               transfer_check, transfer_system_of,
                               truncate_system)
+from equialg.poset import _bits, _mask, close
 
 C1 = trivial_group()
 C2 = cyclic_group(2)
 C4 = cyclic_group(4)
+
+
+def s3_group():
+    """Symmetric group on 3 letters, the smallest non-abelian group."""
+    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
+    return FiniteGroup([[perms.index(tuple(p[q[i]] for i in range(3)))
+                         for q in perms] for p in perms], name="S3")
 
 
 def fold_map(group):
@@ -76,6 +85,20 @@ def test_restriction_violation_detected():
                            validate=False)
     rep = system_check(s)
     assert not rep and rep.axiom == "restriction"
+
+
+def test_out_of_range_class_ids_rejected():
+    """A class id outside its level would alias a class of another level in
+    the system's mask, so the constructor and the closure reject it."""
+    t = level_tables(C2, 4)
+    assert len(t.classes[0]) == 3
+    for bad in (5, 3, -1):
+        for validate in (False, True):
+            with pytest.raises(ValidationError):
+                WeakIndexingSystem(t, [{t.star(0), bad}, {t.star(1)}],
+                                   validate=validate)
+        with pytest.raises(ValidationError):
+            close_system(t, [(0, bad)])
 
 
 # -- category validity (the literal checker) -------------------------------
@@ -321,11 +344,11 @@ def test_dual_path_enumeration_c2(which):
 def _literal_join(t, ops, x, a, unital):
     """Reference join, blind to the closure's rule index: from x | a (and
     the units), add the class each failing literal check names."""
-    ids = set(x | a) | (set(ops.units) if unital else set())
+    ids = set(_bits(x | a)) | (set(ops.units) if unital else set())
     while True:
         rep = is_weak_indexing_category(t, [ops.classes[i] for i in ids])
         if rep:
-            return frozenset(ids)
+            return _mask(ids)
         ids.add(ops.id_of[rep.witness if rep.axiom == "wide"
                           else rep.witness[-1]])
 
@@ -333,15 +356,14 @@ def _literal_join(t, ops, x, a, unital):
 def _node_atom_pairs(cutoff, which):
     t = level_tables(C2, cutoff)
     ops = _ops_for(t)
-    unital = which == "unital"
-    core = _close_ids(ops, [], unital)
-    atoms = {_close_ids(ops, [u], unital)
-             for u in range(len(ops.classes)) if u not in core}
-    nodes = [frozenset(ops.encode_all(n))
+    core = close(ops.rules, ops.core_mask(which == "unital"))
+    atoms = {close(ops.rules, 1 << u, core)
+             for u in range(len(ops.classes)) if not core >> u & 1}
+    nodes = [_mask(ops.encode_all(n))
              for n in enumerate_categories(C2, cutoff, which)]
-    return t, ops, sorted(((x, a) for x in nodes for a in atoms
-                           if not a <= x),
-                          key=lambda xa: (sorted(xa[0]), sorted(xa[1])))
+    return t, ops, sorted(((x, a) for x in nodes for a in atoms if a & ~x),
+                          key=lambda xa: (list(_bits(xa[0])),
+                                          list(_bits(xa[1]))))
 
 
 @pytest.mark.parametrize("cutoff, which, sample", [
@@ -352,8 +374,50 @@ def test_incremental_closure_matches_literal_fixpoint(cutoff, which, sample):
         pairs = random.Random(cutoff).sample(pairs, sample)
     unital = which == "unital"
     for x, a in pairs:
-        assert _close_ids(ops, a - x, unital, base=x) == \
-            _literal_join(t, ops, x, a, unital)
+        assert close(ops.rules, a, x) == _literal_join(t, ops, x, a, unital)
+
+
+def _literal_system_closure(t, seeds):
+    """Reference closure, blind to the rule index: from the classes of the
+    `seeds` mask, add the class each failing system_check report names."""
+    adm = t.levels(seeds)
+    while True:
+        rep = system_check(WeakIndexingSystem(t, adm, validate=False))
+        if rep:
+            return WeakIndexingSystem(t, adm, validate=False).mask
+        if rep.axiom == "conjugation":
+            hi, cid = t.conj_cls(*rep.witness)
+        elif rep.axiom == "restriction":
+            hi, cid = rep.witness[2:]
+        else:
+            hi, cid = rep.witness[0], rep.witness[-1]
+        adm[hi].add(cid)
+
+
+@pytest.mark.parametrize("group, cutoff, which, sample", [
+    (C2, 4, "all", None), (s3_group(), 6, "unital", 200)],
+    ids=["C2-4-all", "S3-6-unital"])
+def test_system_closure_matches_literal_fixpoint(group, cutoff, which,
+                                                 sample):
+    """Every single-class closure, with and without the empty sets, and
+    (node, atom) joins of the enumeration.  Only a non-abelian group such
+    as S3 runs the conjugation rule."""
+    t = level_tables(group, cutoff)
+    for levels in [(), range(t.n_sids)]:
+        for hi, cid in t.bit_class:
+            seeds = t.seed_mask(levels) | 1 << t.bit(hi, cid)
+            assert close_system(t, [(hi, cid)], levels).mask == \
+                _literal_system_closure(t, seeds)
+    unital = range(t.n_sids) if which == "unital" else ()
+    core = close(t.rules, t.seed_mask(unital))
+    atoms = sorted({close(t.rules, 1 << i, core)
+                    for i in range(len(t.bit_class))})
+    pairs = [(x.mask, a) for x in enumerate_systems(group, cutoff, which)
+             for a in atoms if a & ~x.mask]
+    if sample is not None:
+        pairs = random.Random(cutoff).sample(pairs, sample)
+    for x, a in pairs:
+        assert close(t.rules, a, x) == _literal_system_closure(t, x | a)
 
 
 def test_category_enumeration_nodes_are_valid_and_segal_structured():
@@ -422,6 +486,34 @@ def test_transfer_of_unital_systems_and_monotone():
         for b in nodes[::3]:
             if a <= b:
                 assert transfer_system_of(a) <= transfer_system_of(b)
+
+
+def test_transfer_extraction_blames_the_cutoff_not_the_input():
+    """At C8, cutoff 8, Res^G_L(G/1) does not fit level L, so the unital
+    closure of G/1 never derives L/1 although it is a valid system."""
+    g = cyclic_group(8)
+    trivial = level_tables(g, 8).lat.index_of[frozenset({0})]
+    top = level_tables(g, 8).lat.index_of[frozenset(g.elements)]
+    for cutoff in (8, 24):
+        t = level_tables(g, cutoff)
+        free = t.encode(top, (trivial,))
+        s = close_system(t, [(top, free)], unital_levels=range(t.n_sids))
+        assert system_check(s)
+        if cutoff == 8:
+            with pytest.raises(CutoffOverflowError) as exc:
+                transfer_system_of(s)
+            group, cut, rep = exc.value.witness
+            assert (group, cut, rep.axiom) == ("C8", 8, "restriction")
+        else:
+            ts = transfer_system_of(s)
+            assert transfer_check(ts) and ts.related(trivial, top)
+    # an invalid system whose relation fails is the input's fault
+    t = level_tables(C4, 12)
+    adm = [set(a) for a in f_zero(t, range(t.n_sids)).admissible]
+    adm[2].add(t.encode(2, (0,)))
+    with pytest.raises(ValidationError) as exc:
+        transfer_system_of(WeakIndexingSystem(t, adm, validate=False))
+    assert "not a weak indexing system" in str(exc.value)
 
 
 def test_transfer_extraction_needs_unital():

@@ -1,0 +1,47 @@
+"""The benchmark's tracer (`perfbench/tracing.py`) still finds every
+function it wraps, so a traced benchmark run measures every layer."""
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_tracer_targets_resolve():
+    """In a fresh interpreter, installing the tracer rebinds every target
+    and uninstalling it restores the originals."""
+    script = textwrap.dedent("""
+        import sys
+        import equialg
+        import equialg.cli
+        from tracing import TARGETS, Tracer
+
+        def bound():
+            out = {}
+            for name, module, attr, _hot in TARGETS:
+                owner = sys.modules[f"equialg.{module}"]
+                if "." in attr:
+                    cls_name, attr = attr.split(".")
+                    owner = getattr(owner, cls_name)
+                out[name] = vars(owner)[attr]
+            return out
+
+        before = bound()
+        tracer = Tracer()
+        tracer.install()
+        patched = [n for n, f in bound().items() if f is not before[n]]
+        tracer.uninstall()
+        restored = [n for n, f in bound().items() if f is before[n]]
+        print(len(TARGETS), len(patched), len(restored))
+    """)
+    # no byte-code cache: the run writes nothing under perfbench/
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                           str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    total, patched, restored = map(int, proc.stdout.split())
+    assert total > 0 and patched == total and restored == total
