@@ -25,7 +25,7 @@ from .magmas import (CoefficientSystem, CpUnitalMagma, InterchangePair,
                      is_homomorphism, pair_from_json, pair_homs,
                      pair_of_semi_mackey, pair_to_json, semi_mackey_check,
                      semi_mackey_homs, validate_magma)
-from .connectivity import (INF, ConnFunction, ExtInt, RepDimension, conn_add,
+from .connectivity import (INF, ConnFunction, RepDimension, conn_add,
                            conn_join_bound, conn_n_infty, conn_shift,
                            disk_conn_c2, disk_conn_general, disk_conn_value,
                            non_additivity_witness)
@@ -53,7 +53,7 @@ __all__ = [
     "enumerate_interchanging_pairs", "enumerate_semi_mackey",
     "is_homomorphism", "pair_from_json", "pair_homs", "pair_of_semi_mackey",
     "pair_to_json", "semi_mackey_check", "semi_mackey_homs", "validate_magma",
-    "INF", "ConnFunction", "ExtInt", "RepDimension", "conn_add",
+    "INF", "ConnFunction", "RepDimension", "conn_add",
     "conn_join_bound", "conn_n_infty", "conn_shift", "disk_conn_c2",
     "disk_conn_general", "disk_conn_value", "non_additivity_witness",
     "Poset", "fingerprint",

@@ -31,6 +31,8 @@ from .indexing import (LevelTables, WeakIndexingSystem, close_system,
                        default_cutoff, level_tables, system_check)
 from .poset import Poset, _bits, _mask, close, closure_lattice
 
+GROUND_GUARD = 400  # map classes the category enumeration accepts
+
 
 # -- map classes ----------------------------------------------------------
 
@@ -459,7 +461,7 @@ class WeakIndexingCategory:
                 and self.components == other.components)
 
     def __hash__(self):
-        return hash((id(self.tables), self.components))
+        return hash(self.components)
 
     def __le__(self, other):
         return self.components <= other.components
@@ -474,10 +476,9 @@ class WeakIndexingCategory:
     def contains(self, f: GSetMap) -> bool:
         return self.contains_class(map_class_of(self.tables, f))
 
-    def map_classes(self, guard: int = 400_000) -> frozenset:
-        """The map classes within the cutoff that lie in this category;
-        `guard` bounds the first build of the tables' universe."""
-        return frozenset(mc for mc in _ops_for(self.tables, guard).classes
+    def map_classes(self) -> frozenset:
+        """The map classes within the cutoff that lie in this category."""
+        return frozenset(mc for mc in _ops_for(self.tables).classes
                          if self.contains_class(mc))
 
     def to_system(self) -> WeakIndexingSystem:
@@ -539,7 +540,7 @@ def generate_category(group: FiniteGroup, generators, unital: bool = False,
 
 
 def enumerate_categories(group: FiniteGroup, cutoff: int,
-                         which: str = "all", ground_guard: int = 400) -> Poset:
+                         which: str = "all") -> Poset:
     """Exhaustive map-class-set enumeration (the oracle path; small scale).
 
     Every valid class set is the closure of its singletons, so closing the
@@ -547,9 +548,9 @@ def enumerate_categories(group: FiniteGroup, cutoff: int,
     """
     tables = level_tables(group, cutoff)
     ops = _ops_for(tables, guard=100_000)
-    if len(ops.classes) > ground_guard:
+    if len(ops.classes) > GROUND_GUARD:
         raise GuardExceededError(
-            f"{len(ops.classes)} map classes exceed the guard of {ground_guard}")
+            f"{len(ops.classes)} map classes exceed the guard of {GROUND_GUARD}")
     found = closure_lattice(ops.rules, ops.core_mask(which == "unital"),
                             (1 << len(ops.classes)) - 1)
     nodes = [frozenset(ops.classes[i] for i in _bits(m)) for m in found]

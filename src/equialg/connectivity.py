@@ -1,11 +1,13 @@
 """Extended-integer connectivity arithmetic on the almost-unital poset.
 
-The connectivity function of a weak indexing system takes the value
-infinity on its down-set and -2 elsewhere; sums are pointwise with
-infinity absorbing.  The join bound states that the sum of two
-connectivity functions shifted by 2 is at most the connectivity of the
-join, with strictness exactly on the part of the join's down-set missed
-by the two separate down-sets.
+An extended integer is a plain int, or infinity `INF = math.inf`: int and
+float arithmetic already make infinity absorbing under addition and order
+it above every int.  The connectivity function of a weak indexing system
+takes the value infinity on its down-set and -2 elsewhere; sums are
+pointwise with infinity absorbing.  The join bound states that the sum of
+two connectivity functions shifted by 2 is at most the connectivity of
+the join, with strictness exactly on the part of the join's down-set
+missed by the two separate down-sets.
 
 Little-disk connectivity over representations is evaluated through fixed
 point dimensions: an orbit with stabilizer K contributes the bounds
@@ -15,73 +17,37 @@ connectivity), and two or more fixed points contribute dim V^G - 2.
 """
 from __future__ import annotations
 
+import math
+import operator
+from itertools import repeat
+
 from .errors import ValidationError
 from .groups import FiniteGroup, cyclic_group, subgroup_lattice
 from .gsets import GSet, fixed_points
 from .indexing import WeakIndexingSystem, join
 from .poset import Poset
 
-
-class ExtInt:
-    """An integer or +infinity, with absorbing addition and total order."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        if value is not None and not isinstance(value, int):
-            raise ValidationError("ExtInt takes an int or None for infinity")
-        self.value = value
-
-    @property
-    def infinite(self) -> bool:
-        return self.value is None
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = ExtInt(other)
-        if self.infinite or other.infinite:
-            return INF
-        return ExtInt(self.value + other.value)
-
-    __radd__ = __add__
-
-    def __le__(self, other):
-        if other.infinite:
-            return True
-        if self.infinite:
-            return False
-        return self.value <= other.value
-
-    def __lt__(self, other):
-        return self <= other and self != other
-
-    def __eq__(self, other):
-        return isinstance(other, ExtInt) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("ExtInt", self.value))
-
-    def __repr__(self):
-        return "inf" if self.infinite else str(self.value)
-
-
-INF = ExtInt(None)
-MINUS_TWO = ExtInt(-2)
+INF = math.inf
 
 
 class ConnFunction:
-    """An extended-integer function on an enumerated poset of systems."""
+    """An extended-integer function on an enumerated poset of systems:
+    every value is an int (not a bool) or INF."""
 
     __slots__ = ("poset", "values")
 
     def __init__(self, poset: Poset, values):
-        values = tuple(v if isinstance(v, ExtInt) else ExtInt(v) for v in values)
+        values = tuple(values)
         if len(values) != len(poset):
             raise ValidationError("need one value per poset node")
+        # whole-tuple passes in C: the only floats allowed are the INFs
+        floats = sum(map(isinstance, values, repeat(float)))
+        if set(map(type, values)) - {int, float} or floats != values.count(INF):
+            raise ValidationError("connectivity values are ints or INF")
         self.poset = poset
         self.values = values
 
-    def __getitem__(self, i) -> ExtInt:
+    def __getitem__(self, i) -> int | float:
         return self.values[i]
 
     def __eq__(self, other):
@@ -89,25 +55,30 @@ class ConnFunction:
                 and self.values == other.values)
 
     def __le__(self, other: "ConnFunction") -> bool:
-        return all(a <= b for a, b in zip(self.values, other.values))
+        _same_domain(self, other)
+        return all(map(operator.le, self.values, other.values))
 
     def __repr__(self):
         return f"ConnFunction({list(self.values)})"
 
     def infinite_set(self) -> frozenset:
-        return frozenset(i for i, v in enumerate(self.values) if v.infinite)
+        return frozenset(i for i, v in enumerate(self.values) if v == INF)
 
 
 def conn_n_infty(i: WeakIndexingSystem, poset: Poset) -> ConnFunction:
     """Infinity on the down-set of i, -2 off it."""
-    return ConnFunction(poset, [INF if node <= i else MINUS_TWO
+    return ConnFunction(poset, [INF if node <= i else -2
                                 for node in poset.nodes])
 
 
-def conn_add(f: ConnFunction, g: ConnFunction) -> ConnFunction:
+def _same_domain(f: ConnFunction, g: ConnFunction):
     if f.poset is not g.poset:
         raise ValidationError("connectivity functions over different domains")
-    return ConnFunction(f.poset, [a + b for a, b in zip(f.values, g.values)])
+
+
+def conn_add(f: ConnFunction, g: ConnFunction) -> ConnFunction:
+    _same_domain(f, g)
+    return ConnFunction(f.poset, map(operator.add, f.values, g.values))
 
 
 def conn_shift(f: ConnFunction, k: int) -> ConnFunction:
@@ -141,10 +112,9 @@ def conn_join_bound(i: WeakIndexingSystem, j: WeakIndexingSystem,
     """
     lhs = conn_shift(conn_add(conn_n_infty(i, poset), conn_n_infty(j, poset)), 2)
     rhs = conn_n_infty(join(i, j), poset)
-    holds = lhs <= rhs
-    strict = [k for k in range(len(poset))
-              if lhs[k] <= rhs[k] and lhs[k] != rhs[k]]
-    return JoinBoundReport(holds, strict, lhs, rhs)
+    strict = [k for k, (a, b) in enumerate(zip(lhs.values, rhs.values))
+              if a < b]
+    return JoinBoundReport(lhs <= rhs, strict, lhs, rhs)
 
 
 class RepDimension:
@@ -171,7 +141,7 @@ class RepDimension:
         return cls(cyclic_group(2), {0: a + b, 1: a})
 
 
-def disk_conn_c2(a: int, b: int, s) -> ExtInt:
+def disk_conn_c2(a: int, b: int, s) -> int | float:
     """Little-disk connectivity over the order-two group at the arity s.
 
     s is ("e", k) for k free points at the trivial level, or ("G", c, d)
@@ -183,15 +153,14 @@ def disk_conn_c2(a: int, b: int, s) -> ExtInt:
         raise ValidationError("multiplicities must be nonnegative")
     kind = s[0]
     if kind == "e":
-        k = s[1]
-        return ExtInt(max(-2, a + b - 2)) if k >= 2 else INF
+        return max(-2, a + b - 2) if s[1] >= 2 else INF
     if kind == "G":
         c, d = s[1], s[2]
         if d == 0:
-            return ExtInt(max(-2, a - 2)) if c >= 2 else INF
+            return max(-2, a - 2) if c >= 2 else INF
         if c < 2:
-            return ExtInt(max(-2, b - 2))
-        return ExtInt(max(-2, min(a, b) - 2))
+            return max(-2, b - 2)
+        return max(-2, min(a, b) - 2)
     raise ValidationError(f"unknown arity descriptor {s!r}")
 
 
@@ -200,17 +169,12 @@ def _constraints(v: RepDimension, s: GSet) -> list:
     lat = subgroup_lattice(v.group)
     bounds = []
     top = len(lat.nodes) - 1
-    seen_types = set()
-    for orbit in s.orbits():
-        k = lat.index_of[s.stabilizer(orbit[0]).members]
-        if k in seen_types:
-            continue
-        seen_types.add(k)
+    for k in {lat.index_of[s.stabilizer(orbit[0]).members]
+              for orbit in s.orbits()}:
         for j in range(len(lat.nodes)):
             if j != k and lat.leq[k][j]:
                 bounds.append(v.dims[k] - v.dims[j] - 2)
-    full = lat.nodes[top]
-    if len(fixed_points(s, full)) >= 2:
+    if len(fixed_points(s, lat.nodes[top])) >= 2:
         bounds.append(v.dims[top] - 2)
     return bounds
 
@@ -222,13 +186,10 @@ def disk_conn_general(v: RepDimension, s: GSet, ell: int) -> bool:
     return all(ell <= b for b in _constraints(v, s))
 
 
-def disk_conn_value(v: RepDimension, s: GSet) -> ExtInt:
+def disk_conn_value(v: RepDimension, s: GSet) -> int | float:
     """Largest passing level, infinite when the constraint set is empty,
     floored at -2."""
-    bounds = _constraints(v, s)
-    if not bounds:
-        return INF
-    return ExtInt(max(-2, min(bounds)))
+    return max(-2, min(_constraints(v, s), default=INF))
 
 
 def non_additivity_witness(a_prime: int, b: int) -> dict:

@@ -27,6 +27,10 @@ from .errors import (CheckReport, CutoffOverflowError, GuardExceededError,
 from .groups import FiniteGroup, subgroup_lattice
 from .poset import Poset, _bits, _mask, close, closure_lattice
 
+LEVEL_GUARD = 1200      # level classes any enumeration accepts
+ALL_LEVEL_GUARD = 80    # level classes the unfiltered "all" lattice accepts
+TRANSFER_PAIR_GUARD = 22  # containment pairs of a brute-force transfer search
+
 
 def _ok():
     return CheckReport(True)
@@ -502,7 +506,7 @@ def _families(tables: LevelTables):
 
 
 def enumerate_systems(group: FiniteGroup, cutoff: int | None = None,
-                      which: str = "all", level_guard: int = 1200) -> Poset:
+                      which: str = "all") -> Poset:
     """All weak indexing systems at the cutoff, as a poset under containment.
 
     `which` is one of "all", "unital", "almost_unital".  Every system is a
@@ -515,11 +519,11 @@ def enumerate_systems(group: FiniteGroup, cutoff: int | None = None,
     if which not in ("all", "unital", "almost_unital"):
         raise ValidationError(f"unknown filter {which!r}")
     t = level_tables(group, cutoff or default_cutoff(group))
-    t.guard_levels(level_guard)
+    t.guard_levels(LEVEL_GUARD)
     if which in t.posets:
         return t.posets[which]
     if which == "all":
-        t.guard_levels(80)
+        t.guard_levels(ALL_LEVEL_GUARD)
         found = _enumerate_over_core(t, core_levels=(), seed_levels=range(t.n_sids))
     elif which == "unital":
         found = _enumerate_over_core(t, core_levels=range(t.n_sids),
@@ -663,15 +667,15 @@ def transfer_system_of(sys: WeakIndexingSystem) -> TransferSystem:
     return ts
 
 
-def enumerate_transfer_systems(group: FiniteGroup, pair_guard: int = 22) -> Poset:
+def enumerate_transfer_systems(group: FiniteGroup) -> Poset:
     """All transfer systems on the subgroup lattice, by brute force."""
     lat = subgroup_lattice(group)
     n = len(lat.nodes)
     strict = [(k, h) for k in range(n) for h in range(n)
               if k != h and lat.leq[k][h]]
-    if len(strict) > pair_guard:
-        raise GuardExceededError(
-            f"{len(strict)} containment pairs exceed the guard of {pair_guard}")
+    if len(strict) > TRANSFER_PAIR_GUARD:
+        raise GuardExceededError(f"{len(strict)} containment pairs exceed "
+                                 f"the guard of {TRANSFER_PAIR_GUARD}")
     found = []
     for bits in range(1 << len(strict)):
         rel = {strict[i] for i in range(len(strict)) if bits >> i & 1}

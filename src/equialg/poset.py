@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import reduce
+from operator import or_
 
 
 def fingerprint(obj) -> str:
@@ -20,6 +22,10 @@ def _mask(ids) -> int:
     for i in ids:
         out |= 1 << i
     return out
+
+
+def _union(masks) -> int:
+    return reduce(or_, masks, 0)
 
 
 def _bits(mask: int):
@@ -86,15 +92,18 @@ def closure_lattice(rules, core_seeds: int, candidates: int) -> list:
 class Poset:
     """A finite poset over externally supplied nodes.
 
-    Nodes are sorted by `key(node)`; `leq(a, b)` decides the order.
+    Nodes are sorted by `key(node)`; `leq(a, b)` decides the order, which
+    is kept as one up-set mask per node: bit j of `up[i]` is set iff
+    node i <= node j.
     """
 
     def __init__(self, nodes, leq, key):
         self.nodes = sorted(nodes, key=key)
         self.keys = [key(n) for n in self.nodes]
-        n = len(self.nodes)
-        self.le = tuple(tuple(bool(leq(self.nodes[i], self.nodes[j]))
-                              for j in range(n)) for i in range(n))
+        # a row of digits read as binary is cheaper than OR-ing in its bits
+        self.up = [int("".join("1" if leq(a, b) else "0"
+                               for b in self.nodes)[::-1], 2)
+                   for a in self.nodes]
 
     def __len__(self):
         return len(self.nodes)
@@ -106,45 +115,39 @@ class Poset:
         return self.nodes.index(node)
 
     def covers(self) -> list:
-        """Covering pairs (i, j) with node_i < node_j and nothing between."""
-        n = len(self.nodes)
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.le[i][j]:
-                    continue
-                if any(k not in (i, j) and self.le[i][k] and self.le[k][j]
-                       for k in range(n)):
-                    continue
-                out.append((i, j))
-        return out
+        """Covering pairs (i, j) with node_i < node_j and nothing between:
+        the strict up-set of i minus everything strictly above a member."""
+        strict = [u & ~(1 << i) for i, u in enumerate(self.up)]
+        return [(i, j) for i, s in enumerate(strict)
+                for j in _bits(s & ~_union(strict[k] for k in _bits(s)))]
 
     def minimal(self) -> list:
-        n = len(self.nodes)
-        return [i for i in range(n)
-                if not any(self.le[j][i] for j in range(n) if j != i)]
+        above = _union(u & ~(1 << i) for i, u in enumerate(self.up))
+        return [i for i in range(len(self.nodes)) if not above >> i & 1]
 
     def maximal(self) -> list:
-        n = len(self.nodes)
-        return [i for i in range(n)
-                if not any(self.le[i][j] for j in range(n) if j != i)]
+        return [i for i, u in enumerate(self.up) if u == 1 << i]
 
     def is_isomorphic_via(self, other: "Poset", pairing) -> bool:
         """Order isomorphism along an explicit node pairing i -> pairing[i]."""
         n = len(self.nodes)
         if n != len(other.nodes) or sorted(pairing) != list(range(n)):
             return False
-        return all(self.le[i][j] == other.le[pairing[i]][pairing[j]]
-                   for i in range(n) for j in range(n))
+        return all(_mask(pairing[j] for j in _bits(u)) == other.up[pairing[i]]
+                   for i, u in enumerate(self.up))
 
     def labels(self) -> list:
         return [fingerprint(k) for k in self.keys]
 
     def to_json(self) -> str:
-        data = {"nodes": [{"label": lab, "key": key}
-                          for lab, key in zip(self.labels(), self.keys)],
-                "leq": [[int(v) for v in row] for row in self.le]}
-        return json.dumps(data, sort_keys=True, separators=(",", ":"), default=str)
+        """Compact JSON with sorted keys; the leq rows are written as text."""
+        n = len(self.nodes)
+        rows = ",".join("[" + ",".join(f"{u:0{n}b}"[::-1]) + "]"
+                        for u in self.up)
+        nodes = json.dumps([{"label": lab, "key": key}
+                            for lab, key in zip(self.labels(), self.keys)],
+                           sort_keys=True, separators=(",", ":"), default=str)
+        return f'{{"leq":[{rows}],"nodes":{nodes}}}'
 
     def to_dot(self, name: str = "poset") -> str:
         """Hasse diagram: edges are covering relations only."""

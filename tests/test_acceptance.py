@@ -15,7 +15,7 @@ import equialg
 
 from equialg import Subgroup, cyclic_group, subgroups
 from equialg.category import WeakIndexingCategory
-from equialg.connectivity import (ExtInt, INF, RepDimension, conn_join_bound,
+from equialg.connectivity import (INF, RepDimension, conn_join_bound,
                                   disk_conn_c2, disk_conn_value,
                                   non_additivity_witness)
 from equialg.groups import trivial_group
@@ -160,16 +160,16 @@ def test_criterion_5_disk_connectivity_c2():
     ok = True
     for a, b in product(range(5), repeat=2):
         for k in range(2, 5):
-            ok = ok and disk_conn_c2(a, b, ("e", k)) == ExtInt(max(-2, a + b - 2))
+            ok = ok and disk_conn_c2(a, b, ("e", k)) == max(-2, a + b - 2)
         for c in range(2, 4):
-            ok = ok and disk_conn_c2(a, b, ("G", c, 0)) == ExtInt(max(-2, a - 2))
+            ok = ok and disk_conn_c2(a, b, ("G", c, 0)) == max(-2, a - 2)
         for d in range(1, 4):
             for c in range(2):
                 ok = ok and disk_conn_c2(a, b, ("G", c, d)) == \
-                    ExtInt(max(-2, b - 2))
+                    max(-2, b - 2)
             for c in range(2, 4):
                 ok = ok and disk_conn_c2(a, b, ("G", c, d)) == \
-                    ExtInt(max(-2, min(a, b) - 2))
+                    max(-2, min(a, b) - 2)
         v = RepDimension.c2(a, b)
         ve = RepDimension(trivial_group(), {0: a + b})
         for c in range(4):
@@ -183,7 +183,7 @@ def test_criterion_5_disk_connectivity_c2():
             ok = ok and disk_conn_value(ve, GSet.trivial(trivial_group(), k)) \
                 == disk_conn_c2(a, b, ("e", k))
     w = non_additivity_witness(2, 2)
-    ok = ok and w["lhs_bound"] == ExtInt(0) and w["rhs"] == ExtInt(1) \
+    ok = ok and w["lhs_bound"] == 0 and w["rhs"] == 1 \
         and w["strict"]
     verdict(5, ok, "cased formulas, dual-path agreement, witness 0 < 1", t0, 1)
 

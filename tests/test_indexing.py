@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import equialg
-from equialg import ValidationError, cyclic_group, trivial_group
+from equialg import (GuardExceededError, ValidationError, cyclic_group,
+                     direct_product, trivial_group)
 from equialg.category import (WeakIndexingCategory, _ops_for, close_category,
                               enumerate_categories, generate_category,
                               i_complete, i_trivial,
@@ -520,6 +521,22 @@ def test_transfer_extraction_needs_unital():
     t = level_tables(C2, 6)
     with pytest.raises(ValidationError):
         transfer_system_of(f_trivial(t))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: enumerate_systems(cyclic_group(16)),
+     "8908 level classes exceed the guard of 1200"),
+    (lambda: enumerate_systems(C2, 20, "all"),
+     "132 level classes exceed the guard of 80"),
+    (lambda: enumerate_transfer_systems(
+        direct_product(direct_product(C2, C2), C2)),
+     "50 containment pairs exceed the guard of 22"),
+    (lambda: enumerate_categories(C2, 8),
+     "3960 map classes exceed the guard of 400"),
+], ids=["C16-levels", "C2-20-all", "C2xC2xC2-transfers", "C2-8-categories"])
+def test_enumeration_guards(build, message):
+    with pytest.raises(GuardExceededError, match=message):
+        build()
 
 
 def test_poset_exports():
