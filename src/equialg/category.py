@@ -42,7 +42,7 @@ def component(tables: LevelTables, hi: int, cid: int) -> tuple:
     rep = tables.lat.class_rep(hi)
     if rep != hi:
         n = next(g for g in tables.group.elements
-                 if tables._conj_sid(g, hi) == rep)
+                 if tables.conj_sid[g][hi] == rep)
         hi, cid = tables.conj_cls(n, hi, cid)
         assert hi == rep
     return (rep, tables.weyl_canonical(rep, cid))
@@ -163,7 +163,7 @@ def _transports(tables, src_level, dst_level, cid):
     """Distinct conjugation transports of a class between conjugate levels."""
     outs = set()
     for g in tables.group.elements:
-        if tables._conj_sid(g, src_level) == dst_level:
+        if tables.conj_sid[g][src_level] == dst_level:
             hj, moved = tables.conj_cls(g, src_level, cid)
             outs.add(moved)
     return sorted(outs)
@@ -543,8 +543,8 @@ def enumerate_categories(group: FiniteGroup, cutoff: int,
                          which: str = "all") -> Poset:
     """Exhaustive map-class-set enumeration (the oracle path; small scale).
 
-    Every valid class set is the closure of its singletons, so closing the
-    closure-atoms under joins is exhaustive.
+    Every valid class set is the closure of its members, so
+    `closure_lattice` over all classes is exhaustive.
     """
     tables = level_tables(group, cutoff)
     ops = _ops_for(tables, guard=100_000)

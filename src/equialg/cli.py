@@ -17,8 +17,8 @@ from .connectivity import (conn_join_bound, disk_conn_c2,
 from .errors import (CutoffOverflowError, GuardExceededError,
                      TheoremViolation, ValidationError)
 from .groups import FiniteGroup, cyclic_group
-from .indexing import (default_cutoff, enumerate_systems,
-                       enumerate_transfer_systems)
+from .indexing import (ALL_LEVEL_GUARD, LEVEL_GUARD, default_cutoff,
+                       enumerate_systems, enumerate_transfer_systems)
 from .magmas import (eckmann_hilton, enumerate_interchanging_pairs,
                      enumerate_semi_mackey, pair_from_json,
                      pair_of_semi_mackey, canonical_pair_key)
@@ -232,8 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="enumerate indexing posets")
     options(p_enum, "--group", "--cutoff", "--output", "--format")
-    p_enum.add_argument("--filter", default="all",
-                        choices=["all", "unital", "almost_unital"])
+    p_enum.add_argument(
+        "--filter", default="all", choices=["all", "unital", "almost_unital"],
+        help=f"'all' (the default) is guarded at {ALL_LEVEL_GUARD} level "
+             "classes, which cyclic:4 exceeds at its default cutoff; "
+             f"'unital' and 'almost_unital' are guarded at {LEVEL_GUARD}; "
+             "a smaller --cutoff also helps")
     p_enum.add_argument("--transfer-systems", action="store_true")
 
     p_eh = sub.add_parser("eh-check", help="Eckmann-Hilton verification")

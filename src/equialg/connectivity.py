@@ -66,9 +66,15 @@ class ConnFunction:
 
 
 def conn_n_infty(i: WeakIndexingSystem, poset: Poset) -> ConnFunction:
-    """Infinity on the down-set of i, -2 off it."""
-    return ConnFunction(poset, [INF if node <= i else -2
-                                for node in poset.nodes])
+    """Infinity on the down-set of i, -2 off it; i must be built on the
+    tables of the poset's systems, since masks over other tables name
+    other classes."""
+    nodes = poset.nodes
+    if nodes and nodes[0].tables is not i.tables:
+        raise ValidationError("system and poset over different tables")
+    outside = ~i.mask
+    return ConnFunction(poset, [-2 if node.mask & outside else INF
+                                for node in nodes])
 
 
 def _same_domain(f: ConnFunction, g: ConnFunction):

@@ -56,6 +56,7 @@ class LevelTables:
         self.members = [h.members for h in self.lat.nodes]
         self.sub_order = [h.order for h in self.lat.nodes]
         self.abelian = group.is_abelian()
+        self.conj_sid = self.lat.conj_table  # [g][sid]: sid of g H g^-1
         self.sub_sids = []      # per H: sids of subgroups contained in H
         self.h_class_rep = []   # per H: {K sid -> H-conjugacy class rep sid}
         self.orbit_types = []   # per H: sorted tuple of rep sids
@@ -63,12 +64,7 @@ class LevelTables:
         for hi in range(self.n_sids):
             hm = self.members[hi]
             subs = [k for k in range(self.n_sids) if self.members[k] <= hm]
-            rep = {}
-            for k in subs:
-                orbit = {self._conj_sid(g, k) for g in hm}
-                r = min(orbit)
-                for k2 in orbit:
-                    rep[k2] = r
+            rep = {k: min(self.conj_sid[g][k] for g in hm) for k in subs}
             self.sub_sids.append(tuple(subs))
             self.h_class_rep.append(rep)
             self.orbit_types.append(tuple(sorted(set(rep.values()))))
@@ -95,11 +91,6 @@ class LevelTables:
         self.map_ops = None         # category._Ops over every map class
 
     # -- raw helpers ---------------------------------------------------
-    def _conj_sid(self, g: int, sid: int) -> int:
-        grp = self.group
-        m = frozenset(grp.conj(g, a) for a in self.members[sid])
-        return self.lat.index_of[m]
-
     def orbit_size(self, hi: int, k: int) -> int:
         return self.sub_order[hi] // self.sub_order[k]
 
@@ -188,10 +179,10 @@ class LevelTables:
 
     def conj_cls(self, g: int, hi: int, cid: int):
         """Transport a class at level H to level gHg^-1."""
-        hj = self._conj_sid(g, hi)
-        cls = self.classes[hi][cid]
-        res = self.encode(hj, tuple(self.h_class_rep[hj][self._conj_sid(g, k)]
-                                    for k in cls))
+        conj = self.conj_sid[g]
+        hj = conj[hi]
+        rep = self.h_class_rep[hj]
+        res = self.encode(hj, tuple(rep[conj[k]] for k in self.classes[hi][cid]))
         assert res is not None  # conjugation preserves size and level cutoff
         return (hj, res)
 
@@ -245,21 +236,14 @@ class LevelTables:
         """Least class in the orbit of cid under the normalizer of H."""
         if self.abelian:
             return cid
-        grp = self.group
-        best = cid
-        for g in grp.elements:
-            if self._conj_sid(g, hi) != hi:
-                continue
-            _, moved = self.conj_cls(g, hi, cid)
-            if moved < best:
-                best = moved
-        return best
+        return min(self.conj_cls(g, hi, cid)[1] for g in self.group.elements
+                   if self.conj_sid[g][hi] == hi)
 
-    def guard_levels(self, limit: int):
+    def guard_levels(self, limit: int, advice: str):
         total = sum(len(c) for c in self.classes)
         if total > limit:
             raise GuardExceededError(
-                f"{total} level classes exceed the guard of {limit}")
+                f"{total} level classes exceed the guard of {limit}; {advice}")
 
 
 _TABLES: dict = {}
@@ -498,7 +482,7 @@ def _families(tables: LevelTables):
     for bits in range(1 << t.n_sids):
         fam = frozenset(i for i in range(t.n_sids) if bits >> i & 1)
         ok = all(set(t.sub_sids[hi]) <= fam for hi in fam)
-        ok = ok and all(t._conj_sid(g, hi) in fam
+        ok = ok and all(t.conj_sid[g][hi] in fam
                         for g in t.group.elements for hi in fam)
         if ok:
             out.add(fam)
@@ -509,9 +493,9 @@ def enumerate_systems(group: FiniteGroup, cutoff: int | None = None,
                       which: str = "all") -> Poset:
     """All weak indexing systems at the cutoff, as a poset under containment.
 
-    `which` is one of "all", "unital", "almost_unital".  Every system is a
-    join of closures of single classes over a closed core, so closing the
-    atom set under joins is exhaustive.  The unfiltered lattice is not
+    `which` is one of "all", "unital", "almost_unital".  Every system is
+    the closure of a closed core and some classes, so `closure_lattice`
+    over the classes is exhaustive.  The unfiltered lattice is not
     finite in the large-cutoff limit (fold arities may live in proper
     numerical submonoids), so "all" is guarded to small ground sets; the
     unital and almost-unital posets are finite and saturate.
@@ -519,11 +503,13 @@ def enumerate_systems(group: FiniteGroup, cutoff: int | None = None,
     if which not in ("all", "unital", "almost_unital"):
         raise ValidationError(f"unknown filter {which!r}")
     t = level_tables(group, cutoff or default_cutoff(group))
-    t.guard_levels(LEVEL_GUARD)
+    t.guard_levels(LEVEL_GUARD, "lower the cutoff")
     if which in t.posets:
         return t.posets[which]
     if which == "all":
-        t.guard_levels(ALL_LEVEL_GUARD)
+        t.guard_levels(ALL_LEVEL_GUARD, "that guard is for the unfiltered "
+                       "'all'; filter 'unital' or 'almost_unital' (guarded at "
+                       f"{LEVEL_GUARD}), or lower the cutoff")
         found = _enumerate_over_core(t, core_levels=(), seed_levels=range(t.n_sids))
     elif which == "unital":
         found = _enumerate_over_core(t, core_levels=range(t.n_sids),

@@ -40,6 +40,27 @@ def test_enumerate_guard_exit_2(capsys):
     assert code == 2 and "guard" in err
 
 
+def test_enumerate_all_guard_names_the_way_out(capsys):
+    # C4 has 104 level classes at its default cutoff 12, over the 80 of 'all'
+    code, out, err = run(capsys, "enumerate", "--group", "cyclic:4")
+    assert code == 2 and not out
+    assert "104 level classes exceed the guard of 80" in err
+    assert "'all'" in err and "'unital'" in err and "'almost_unital'" in err
+    assert "cutoff" in err
+    code, out, _ = run(capsys, "enumerate", "--group", "cyclic:4",
+                       "--filter", "unital")
+    assert code == 0 and "weak indexing systems (unital)" in out
+    code, out, _ = run(capsys, "enumerate", "--group", "cyclic:4",
+                       "--cutoff", "4")
+    assert code == 0 and "weak indexing systems (all) at cutoff 4" in out
+    with pytest.raises(SystemExit):
+        main(["enumerate", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "'all' (the default) is guarded at 80" in help_text
+    assert "'unital' and 'almost_unital'" in help_text
+    assert "--cutoff" in help_text
+
+
 def test_enumerate_bad_group_exit_1(capsys):
     code, _, err = run(capsys, "enumerate", "--group", "cyclic:x")
     assert code == 1

@@ -12,8 +12,8 @@ from equialg.connectivity import (INF, ConnFunction, RepDimension,
 from equialg.errors import ValidationError
 from equialg.groups import Subgroup
 from equialg.gsets import GSet
-from equialg.indexing import (enumerate_systems, f_complete, f_trivial, join,
-                              level_tables)
+from equialg.indexing import (WeakIndexingSystem, enumerate_systems,
+                              f_complete, f_trivial, join, level_tables)
 
 C2 = cyclic_group(2)
 C4 = cyclic_group(4)
@@ -72,6 +72,32 @@ def test_conn_n_infty_down_set_characterization():
         for k, node in enumerate(poset.nodes):
             if not node <= i:
                 assert f[k] == -2
+
+
+def test_conn_n_infty_reads_masks(monkeypatch):
+    poset = enumerate_systems(C2, 6, "almost_unital")
+    expected = [frozenset(k for k, node in enumerate(poset.nodes)
+                          if node <= i) for i in poset.nodes]
+
+    def no_le(a, b):
+        raise AssertionError("conn_n_infty compared systems with <=")
+
+    monkeypatch.setattr(WeakIndexingSystem, "__le__", no_le)
+    assert [conn_n_infty(i, poset).infinite_set()
+            for i in poset.nodes] == expected
+
+
+def test_conn_n_infty_needs_the_poset_tables():
+    # a C2@6 system against the C2@4 poset: its mask names other classes,
+    # so a down-set read from it would mean nothing
+    poset = enumerate_systems(C2, 4, "almost_unital")
+    other = f_trivial(level_tables(C2, 6))
+    with pytest.raises(ValidationError, match="different tables"):
+        conn_n_infty(other, poset)
+    with pytest.raises(ValidationError, match="different tables"):
+        conn_join_bound(other, other, poset)
+    own = f_trivial(level_tables(C2, 4))
+    assert conn_n_infty(own, poset).infinite_set() == {poset.index(own)}
 
 
 def test_conn_pointwise_arithmetic():
