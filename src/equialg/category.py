@@ -20,6 +20,7 @@ equivalence.
 """
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from itertools import permutations
 
@@ -485,22 +486,19 @@ class WeakIndexingCategory:
         """Admissible H-sets are those whose structure map lies in the
         category; conjugate levels are filled by transport."""
         t = self.tables
-        adm = []
-        for hi in range(t.n_sids):
-            keep = set()
-            for cid in range(len(t.classes[hi])):
-                if component(t, hi, cid) in self.components:
-                    keep.add(cid)
-            adm.append(keep)
-        return WeakIndexingSystem(t, adm, validate=False)
+        return WeakIndexingSystem(
+            t, _mask(i for i, (hi, cid) in enumerate(t.bit_class)
+                     if component(t, hi, cid) in self.components),
+            validate=False)
 
     @classmethod
     def from_system(cls, sys: WeakIndexingSystem) -> "WeakIndexingCategory":
         t = sys.tables
         reps = sorted({t.lat.class_rep(i) for i in range(t.n_sids)})
+        adm = sys.admissible
         comps = set()
         for h in reps:
-            for cid in sys.admissible[h]:
+            for cid in adm[h]:
                 comps.add((h, t.weyl_canonical(h, cid)))
         return cls(t, comps, validate=False)
 
@@ -558,5 +556,5 @@ def enumerate_categories(group: FiniteGroup, cutoff: int,
         nodes = [n for n in nodes
                  if WeakIndexingCategory.from_map_classes(tables, n)
                  .to_system().is_almost_unital()]
-    return Poset(nodes, leq=lambda a, b: a <= b,
+    return Poset(nodes, leq=operator.le,
                  key=lambda n: (len(n), tuple(sorted(n))))

@@ -41,10 +41,6 @@ class RunConfig:
     format: str = "text"
     norm_axiom: bool = False
 
-    def __post_init__(self):
-        if self.format not in ("json", "dot", "text"):
-            raise ValidationError(f"unknown format {self.format!r}")
-
     def resolve_group(self) -> FiniteGroup:
         spec = self.group_spec
         if spec.startswith("cyclic:"):

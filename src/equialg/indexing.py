@@ -13,13 +13,17 @@ H-set is representable exactly when the G-set induced from it fits the
 global cutoff; an empirical doubling test (enumerate at c and 2c) guards
 the truncation.
 
-Closure, joins and exhaustive enumeration run on one int mask of classes
-per system, through `poset.close` over `LevelTables.rules`.  Transfer
-systems live here as well.  The equivalent encoding by categories of G-set
-maps is in `category.py`; it shares the engine but not the rules.
+A system is stored as one int mask over the tables' classes and nothing
+else.  Closure, joins, meets and exhaustive enumeration build that mask
+through `poset.close` over `LevelTables.rules`; the per-level id sets
+(`WeakIndexingSystem.admissible`) are a view derived from it, and
+`LevelTables.mask_of` is the one conversion back.  Transfer systems live
+here as well.  The equivalent encoding by categories of G-set maps is in
+`category.py`; it shares the engine but not the rules.
 """
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 
 from .errors import (CheckReport, CutoffOverflowError, GuardExceededError,
@@ -47,8 +51,10 @@ class LevelTables:
     """
 
     def __init__(self, group: FiniteGroup, cutoff: int):
-        if cutoff < 1:
-            raise ValidationError("cutoff must be positive")
+        if cutoff < group.order:
+            # level e keeps at most cutoff // |G| points, so no one-point set
+            raise ValidationError(f"cutoff {cutoff} is below the group order "
+                                  f"{group.order}")
         self.group = group
         self.cutoff = cutoff
         self.lat = subgroup_lattice(group)
@@ -137,12 +143,20 @@ class LevelTables:
         return self.offset[hi] + cid
 
     def levels(self, mask: int) -> list:
-        """Per-level class-id sets of a mask."""
+        """Per-level class-id sets of a mask; `mask_of` is the inverse."""
         adm = [set() for _ in range(self.n_sids)]
         for i in _bits(mask):
             hi, cid = self.bit_class[i]
             adm[hi].add(cid)
         return adm
+
+    def mask_of(self, levels) -> int:
+        """Mask of per-level class-id sets, one set per subgroup; ids are
+        range-checked by `bit`."""
+        if len(levels) != self.n_sids:
+            raise ValidationError("need one admissible set per subgroup")
+        return _mask(self.bit(hi, cid)
+                     for hi, ids in enumerate(levels) for cid in ids)
 
     def seed_mask(self, unital_levels=()) -> int:
         """The one-point set everywhere, the empty set at `unital_levels`."""
@@ -261,19 +275,20 @@ def default_cutoff(group: FiniteGroup) -> int:
 
 
 class WeakIndexingSystem:
-    """Admissible H-set classes for every subgroup H of a fixed group, also
-    held as one mask over the tables' class bits."""
+    """Admissible H-set classes for every subgroup H of a fixed group, stored
+    as one mask over the tables' class bits: class cid at level H is bit
+    `tables.offset[H] + cid`.  `admissible` is the per-level view of the
+    mask, and `tables.mask_of` builds a mask from per-level id sets."""
 
-    __slots__ = ("tables", "admissible", "mask", "_key")
+    __slots__ = ("tables", "mask", "_key")
 
-    def __init__(self, tables: LevelTables, admissible, validate: bool = True):
+    def __init__(self, tables: LevelTables, mask: int, validate: bool = True):
+        if (isinstance(mask, bool) or not isinstance(mask, int)
+                or mask < 0 or mask >> len(tables.bit_class)):
+            raise ValidationError(f"not a mask over the tables' "
+                                  f"{len(tables.bit_class)} classes: {mask!r}")
         self.tables = tables
-        self.admissible = tuple(frozenset(a) for a in admissible)
-        if len(self.admissible) != tables.n_sids:
-            raise ValidationError("need one admissible set per subgroup")
-        self.mask = _mask(tables.bit(hi, cid)
-                          for hi, adm in enumerate(self.admissible)
-                          for cid in adm)
+        self.mask = mask
         self._key = None
         if validate:
             rep = system_check(self)
@@ -288,13 +303,17 @@ class WeakIndexingSystem:
     def cutoff(self):
         return self.tables.cutoff
 
+    @property
+    def admissible(self) -> tuple:
+        """Per-level frozensets of admissible class ids, read off the mask."""
+        return tuple(map(frozenset, self.tables.levels(self.mask)))
+
     def value_key(self) -> tuple:
         """Canonical cutoff-independent content: class tuples per level."""
         if self._key is None:
-            t = self.tables
-            self._key = tuple(
-                tuple(sorted(t.classes[hi][c] for c in self.admissible[hi]))
-                for hi in range(t.n_sids))
+            classes = self.tables.classes
+            self._key = tuple(tuple(sorted(classes[hi][c] for c in adm))
+                              for hi, adm in enumerate(self.admissible))
         return self._key
 
     def sort_key(self):
@@ -319,7 +338,7 @@ class WeakIndexingSystem:
         """Sids of the subgroups at which the empty set is admissible."""
         t = self.tables
         return frozenset(hi for hi in range(t.n_sids)
-                         if t.empty(hi) in self.admissible[hi])
+                         if self.mask >> (t.offset[hi] + t.empty(hi)) & 1)
 
     def is_unital(self) -> bool:
         return len(self.unit_family()) == self.tables.n_sids
@@ -328,8 +347,8 @@ class WeakIndexingSystem:
         """Wherever any nontrivial arity is admissible, so is the empty set."""
         t = self.tables
         for hi in range(t.n_sids):
-            nontrivial = self.admissible[hi] - {t.star(hi)}
-            if nontrivial and t.empty(hi) not in self.admissible[hi]:
+            level = self.mask >> t.offset[hi] & (1 << len(t.classes[hi])) - 1
+            if level & ~(1 << t.star(hi)) and not level >> t.empty(hi) & 1:
                 return False
         return True
 
@@ -340,8 +359,8 @@ class WeakIndexingSystem:
         weaker: a level admitting exactly the positive fold arities is
         closed under nonempty summands but not almost-unital."""
         t = self.tables
-        for hi in range(t.n_sids):
-            for cid in self.admissible[hi]:
+        for hi, adm in enumerate(self.admissible):
+            for cid in adm:
                 cls = t.classes[hi][cid]
                 if cid == t.star(hi):
                     continue
@@ -349,7 +368,7 @@ class WeakIndexingSystem:
                 for bits in range(1 << n):
                     sub = tuple(cls[i] for i in range(n) if bits >> i & 1)
                     scid = t.encode(hi, sub)
-                    if scid is not None and scid not in self.admissible[hi]:
+                    if scid is not None and scid not in adm:
                         return False
         return True
 
@@ -357,11 +376,11 @@ class WeakIndexingSystem:
         import json
         t = self.tables
         levels = {}
-        for hi in range(t.n_sids):
+        for hi, adm in enumerate(self.admissible):
             name = str(list(sorted(t.members[hi])))
             levels[name] = sorted(
                 [sorted(list(sorted(t.members[k])) for k in t.classes[hi][c])
-                 for c in self.admissible[hi]])
+                 for c in adm])
         return json.dumps({"group": self.group.name, "cutoff": self.cutoff,
                            "levels": levels},
                           sort_keys=True, separators=(",", ":"))
@@ -371,31 +390,32 @@ def system_check(sys: WeakIndexingSystem) -> CheckReport:
     """Validity report: units, conjugation, restriction, self-indexed
     coproducts (single-slot form; see LevelTables.coproduct_single)."""
     t = sys.tables
+    adm = sys.admissible
     for hi in range(t.n_sids):
-        if t.star(hi) not in sys.admissible[hi]:
+        if t.star(hi) not in adm[hi]:
             return CheckReport(False, "unit", (hi,),
                                "missing one-point set at some level")
     if not t.abelian:
         for g in t.group.elements:
             for hi in range(t.n_sids):
-                for cid in sys.admissible[hi]:
+                for cid in adm[hi]:
                     hj, moved = t.conj_cls(g, hi, cid)
-                    if moved not in sys.admissible[hj]:
+                    if moved not in adm[hj]:
                         return CheckReport(False, "conjugation", (g, hi, cid))
     for hi in range(t.n_sids):
-        for cid in sorted(sys.admissible[hi]):
+        for cid in sorted(adm[hi]):
             for ki in t.sub_sids[hi]:
                 if ki == hi:
                     continue
                 res = t.restrict_cls(hi, ki, cid)
-                if res is not None and res not in sys.admissible[ki]:
+                if res is not None and res not in adm[ki]:
                     return CheckReport(False, "restriction", (hi, cid, ki, res))
     for hi in range(t.n_sids):
-        for cid in sorted(sys.admissible[hi]):
+        for cid in sorted(adm[hi]):
             for ki in set(t.classes[hi][cid]):
-                for tid in sorted(sys.admissible[ki]):
+                for tid in sorted(adm[ki]):
                     out = t.coproduct_single(hi, cid, ki, tid)
-                    if out is not None and out not in sys.admissible[hi]:
+                    if out is not None and out not in adm[hi]:
                         return CheckReport(False, "indexed-coproduct",
                                            (hi, cid, ki, tid, out))
     return _ok()
@@ -409,7 +429,7 @@ def close_system(tables: LevelTables, seed, unital_levels=()) -> WeakIndexingSys
     """
     t = tables
     seeds = t.seed_mask(unital_levels) | _mask(t.bit(hi, cid) for hi, cid in seed)
-    return WeakIndexingSystem(t, t.levels(close(t.rules, seeds)), validate=False)
+    return WeakIndexingSystem(t, close(t.rules, seeds), validate=False)
 
 
 def join(a: WeakIndexingSystem, b: WeakIndexingSystem) -> WeakIndexingSystem:
@@ -418,16 +438,13 @@ def join(a: WeakIndexingSystem, b: WeakIndexingSystem) -> WeakIndexingSystem:
     if a.tables is not b.tables:
         raise ValidationError("join needs a shared group and cutoff")
     t = a.tables
-    return WeakIndexingSystem(t, t.levels(close(t.rules, b.mask, a.mask)),
-                              validate=False)
+    return WeakIndexingSystem(t, close(t.rules, b.mask, a.mask), validate=False)
 
 
 def meet(a: WeakIndexingSystem, b: WeakIndexingSystem) -> WeakIndexingSystem:
     if a.tables is not b.tables:
         raise ValidationError("meet needs a shared group and cutoff")
-    out = WeakIndexingSystem(
-        a.tables, [x & y for x, y in zip(a.admissible, b.admissible)],
-        validate=False)
+    out = WeakIndexingSystem(a.tables, a.mask & b.mask, validate=False)
     rep = system_check(out)
     if not rep:
         raise TheoremViolation(
@@ -439,9 +456,7 @@ def meet(a: WeakIndexingSystem, b: WeakIndexingSystem) -> WeakIndexingSystem:
 # -- named systems ------------------------------------------------------
 
 def f_trivial(tables: LevelTables) -> WeakIndexingSystem:
-    return WeakIndexingSystem(
-        tables, [{tables.star(hi)} for hi in range(tables.n_sids)],
-        validate=False)
+    return WeakIndexingSystem(tables, tables.seed_mask(), validate=False)
 
 
 def f_infinity(tables: LevelTables) -> WeakIndexingSystem:
@@ -451,7 +466,7 @@ def f_infinity(tables: LevelTables) -> WeakIndexingSystem:
         star_type = tables.h_class_rep[hi][hi]
         adm.append({cid for cid, cls in enumerate(tables.classes[hi])
                     if all(k == star_type for k in cls)})
-    return WeakIndexingSystem(tables, adm, validate=False)
+    return WeakIndexingSystem(tables, tables.mask_of(adm), validate=False)
 
 
 def f_zero(tables: LevelTables, family) -> WeakIndexingSystem:
@@ -461,16 +476,12 @@ def f_zero(tables: LevelTables, family) -> WeakIndexingSystem:
         for ki in tables.sub_sids[hi]:
             if ki not in family:
                 raise ValidationError("family must be downward closed")
-    adm = [{tables.star(hi)} | ({tables.empty(hi)} if hi in family else set())
-           for hi in range(tables.n_sids)]
-    return WeakIndexingSystem(tables, adm, validate=False)
+    return WeakIndexingSystem(tables, tables.seed_mask(family), validate=False)
 
 
 def f_complete(tables: LevelTables) -> WeakIndexingSystem:
-    return WeakIndexingSystem(
-        tables, [set(range(len(tables.classes[hi])))
-                 for hi in range(tables.n_sids)],
-        validate=False)
+    return WeakIndexingSystem(tables, (1 << len(tables.bit_class)) - 1,
+                              validate=False)
 
 
 # -- enumeration --------------------------------------------------------
@@ -515,12 +526,12 @@ def enumerate_systems(group: FiniteGroup, cutoff: int | None = None,
         found = _enumerate_over_core(t, core_levels=range(t.n_sids),
                                      seed_levels=range(t.n_sids))
     else:
-        found = list(dict.fromkeys(
-            s for fam in _families(t)
-            for s in _enumerate_over_core(t, core_levels=sorted(fam),
-                                          seed_levels=sorted(fam))
-            if s.is_almost_unital()))
-    poset = Poset(found, leq=lambda a, b: a <= b, key=lambda s: s.sort_key())
+        # closing at the family's levels stays there, so every node is
+        # almost-unital with exactly that unit family: no filter, no repeats
+        found = [s for fam in _families(t)
+                 for s in _enumerate_over_core(t, core_levels=sorted(fam),
+                                               seed_levels=sorted(fam))]
+    poset = Poset(found, leq=operator.le, key=lambda s: s.sort_key())
     t.posets[which] = poset
     return poset
 
@@ -532,7 +543,7 @@ def _enumerate_over_core(tables, core_levels, seed_levels):
         candidates = _mask(t.offset[hi] + cid for hi in seed_levels
                            for cid in range(len(t.classes[hi])))
         t.cores[key] = [
-            WeakIndexingSystem(t, t.levels(m), validate=False)
+            WeakIndexingSystem(t, m, validate=False)
             for m in closure_lattice(t.rules, t.seed_mask(core_levels),
                                      candidates)]
     return t.cores[key]
@@ -544,15 +555,9 @@ def truncate_system(sys: WeakIndexingSystem, tables_small: LevelTables
     t_big, t_small = sys.tables, tables_small
     if t_big.group != t_small.group or t_small.cutoff > t_big.cutoff:
         raise ValidationError("truncation needs the same group, smaller cutoff")
-    adm = []
-    for hi in range(t_big.n_sids):
-        keep = set()
-        for cid in sys.admissible[hi]:
-            scid = t_small.encode(hi, t_big.classes[hi][cid])
-            if scid is not None:
-                keep.add(scid)
-        adm.append(keep)
-    return WeakIndexingSystem(t_small, adm, validate=False)
+    adm = [{t_small.encode(hi, t_big.classes[hi][cid]) for cid in big} - {None}
+           for hi, big in enumerate(sys.admissible)]
+    return WeakIndexingSystem(t_small, t_small.mask_of(adm), validate=False)
 
 
 # -- transfer systems ----------------------------------------------------
@@ -610,10 +615,9 @@ def transfer_check(ts: TransferSystem) -> CheckReport:
             if h == k2 and (k, h2) not in ts.rel:
                 return CheckReport(False, "transitivity", (k, h, h2))
     for g in grp.elements:
+        conj = lat.conj_table[g]    # [sid]: sid of g H g^-1
         for (k, h) in ts.rel:
-            gk = lat.index_of[lat.nodes[k].conjugate_by(g).members]
-            gh = lat.index_of[lat.nodes[h].conjugate_by(g).members]
-            if (gk, gh) not in ts.rel:
+            if (conj[k], conj[h]) not in ts.rel:
                 return CheckReport(False, "conjugation", (g, k, h))
     for (k, h) in ts.rel:
         for l in range(n):
@@ -640,7 +644,7 @@ def transfer_system_of(sys: WeakIndexingSystem) -> TransferSystem:
     for hi in range(t.n_sids):
         for ki in t.sub_sids[hi]:
             orbit = t.encode(hi, (t.h_class_rep[hi][ki],))
-            if orbit is not None and orbit in sys.admissible[hi]:
+            if orbit is not None and sys.mask >> (t.offset[hi] + orbit) & 1:
                 rel.add((ki, hi))
     ts = TransferSystem(sys.group, rel, validate=False)
     rep = transfer_check(ts)
@@ -668,4 +672,4 @@ def enumerate_transfer_systems(group: FiniteGroup) -> Poset:
         ts = TransferSystem(group, rel, validate=False)
         if transfer_check(ts):
             found.append(ts)
-    return Poset(found, leq=lambda a, b: a <= b, key=lambda s: s.sort_key())
+    return Poset(found, leq=operator.le, key=lambda s: s.sort_key())

@@ -40,6 +40,15 @@ def test_enumerate_guard_exit_2(capsys):
     assert code == 2 and "guard" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--group", "cyclic:4", "--cutoff", "3", "--filter", "unital"],
+    ["conn", "--group", "cyclic:4", "--cutoff", "2", "--all-pairs"]])
+def test_cutoff_below_group_order_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("error:") and "below the group order 4" in err
+
+
 def test_enumerate_all_guard_names_the_way_out(capsys):
     # C4 has 104 level classes at its default cutoff 12, over the 80 of 'all'
     code, out, err = run(capsys, "enumerate", "--group", "cyclic:4")

@@ -65,7 +65,7 @@ def test_f_infinity_valid():
 
 def test_missing_point_set_invalid():
     t = level_tables(C2, 6)
-    s = WeakIndexingSystem(t, [set(), {t.star(1)}], validate=False)
+    s = WeakIndexingSystem(t, t.mask_of([set(), {t.star(1)}]), validate=False)
     rep = system_check(s)
     assert not rep and rep.axiom == "unit"
 
@@ -82,7 +82,7 @@ def test_restriction_violation_detected():
     t = level_tables(C2, 6)
     # free orbit admissible at C_2 but its restriction 2* missing at e
     free_cid = t.encode(1, (0,))
-    s = WeakIndexingSystem(t, [{t.star(0)}, {t.star(1), free_cid}],
+    s = WeakIndexingSystem(t, t.mask_of([{t.star(0)}, {t.star(1), free_cid}]),
                            validate=False)
     rep = system_check(s)
     assert not rep and rep.axiom == "restriction"
@@ -96,10 +96,41 @@ def test_out_of_range_class_ids_rejected():
     for bad in (5, 3, -1):
         for validate in (False, True):
             with pytest.raises(ValidationError):
-                WeakIndexingSystem(t, [{t.star(0), bad}, {t.star(1)}],
-                                   validate=validate)
+                WeakIndexingSystem(
+                    t, t.mask_of([{t.star(0), bad}, {t.star(1)}]),
+                    validate=validate)
         with pytest.raises(ValidationError):
             close_system(t, [(0, bad)])
+
+
+def test_system_is_its_mask():
+    """A system stores its class mask and nothing else: the constructor
+    takes only an int over the tables' classes, `admissible` is a
+    read-only view of the mask and `mask_of` converts it back."""
+    t = level_tables(C2, 4)
+    assert WeakIndexingSystem.__slots__ == ("tables", "mask", "_key")
+    for bad in (True, 1.5, [t.star(0)], 1 << len(t.bit_class), -1):
+        with pytest.raises(ValidationError):
+            WeakIndexingSystem(t, bad, validate=False)
+    s = f_infinity(t)
+    assert t.mask_of(s.admissible) == s.mask
+    assert WeakIndexingSystem(t, s.mask) == s
+    with pytest.raises(AttributeError):
+        s.admissible = s.admissible
+    with pytest.raises(ValidationError):
+        t.mask_of(s.admissible[:1])  # one set per subgroup
+
+
+def test_cutoff_below_group_order_rejected():
+    """Level e keeps at most cutoff // |G| points, so below |G| it has no
+    one-point set."""
+    for group, cutoff in [(C4, 3), (C4, 2), (C2, 1), (C1, 0)]:
+        with pytest.raises(ValidationError, match=f"cutoff {cutoff} is below "
+                           f"the group order {group.order}"):
+            LevelTables(group, cutoff)
+    with pytest.raises(ValidationError):
+        enumerate_systems(C4, 3, "unital")
+    assert len(enumerate_systems(C4, 4, "unital")) >= 1
 
 
 # -- category validity (the literal checker) -------------------------------
@@ -383,9 +414,10 @@ def _literal_system_closure(t, seeds):
     `seeds` mask, add the class each failing system_check report names."""
     adm = t.levels(seeds)
     while True:
-        rep = system_check(WeakIndexingSystem(t, adm, validate=False))
+        rep = system_check(WeakIndexingSystem(t, t.mask_of(adm),
+                                              validate=False))
         if rep:
-            return WeakIndexingSystem(t, adm, validate=False).mask
+            return WeakIndexingSystem(t, t.mask_of(adm), validate=False).mask
         if rep.axiom == "conjugation":
             hi, cid = t.conj_cls(*rep.witness)
         elif rep.axiom == "restriction":
@@ -442,7 +474,7 @@ def test_brute_force_power_set_oracle_c2():
         per_level.append(subs)
     expected = set()
     for adm in product(*per_level):
-        s = WeakIndexingSystem(t, adm, validate=False)
+        s = WeakIndexingSystem(t, t.mask_of(adm), validate=False)
         if system_check(s):
             expected.add(s.value_key())
     got = {s.value_key() for s in enumerate_systems(C2, 4, "all")}
@@ -471,6 +503,18 @@ def test_almost_unital_agrees_with_summand_closure():
 
 
 # -- transfer systems --------------------------------------------------------
+
+@pytest.mark.parametrize("group, almost, every", [
+    (C2, 9, 3692), (cyclic_group(3), 12, 541)], ids=["C2", "C3"])
+def test_almost_unital_is_all_filtered(group, almost, every):
+    """Closing over a family's levels stays on them, so each family's
+    lattice is almost-unital with exactly that unit family, and the
+    "almost_unital" enumeration needs no filter and no dedupe."""
+    every_poset = enumerate_systems(group, 6, "all")
+    poset = enumerate_systems(group, 6, "almost_unital")
+    assert (len(every_poset), len(poset)) == (every, almost)
+    assert poset.nodes == [s for s in every_poset if s.is_almost_unital()]
+
 
 def test_transfer_counts_catalan():
     for n, expect in [(1, 1), (2, 2), (4, 5), (8, 14)]:
@@ -513,7 +557,8 @@ def test_transfer_extraction_blames_the_cutoff_not_the_input():
     adm = [set(a) for a in f_zero(t, range(t.n_sids)).admissible]
     adm[2].add(t.encode(2, (0,)))
     with pytest.raises(ValidationError) as exc:
-        transfer_system_of(WeakIndexingSystem(t, adm, validate=False))
+        transfer_system_of(WeakIndexingSystem(t, t.mask_of(adm),
+                                              validate=False))
     assert "not a weak indexing system" in str(exc.value)
 
 

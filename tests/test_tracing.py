@@ -1,5 +1,6 @@
 """The benchmark's tracer (`perfbench/tracing.py`) still finds every
 function it wraps, so a traced benchmark run measures every layer."""
+import json
 import os
 import subprocess
 import sys
@@ -45,3 +46,36 @@ def test_tracer_targets_resolve():
     assert proc.returncode == 0, proc.stderr
     total, patched, restored = map(int, proc.stdout.split())
     assert total > 0 and patched == total and restored == total
+
+
+def test_tracer_observers_count_joins_and_order_tests():
+    """With the tracer installed, a join feeds the join observer (which
+    reads `result.admissible`) and a poset build counts every `leq` call
+    it passes through."""
+    script = textwrap.dedent("""
+        import json
+        import equialg
+        import equialg.cli
+        from equialg import indexing
+        from equialg.groups import cyclic_group
+        from tracing import Tracer
+
+        tracer = Tracer()
+        tracer.install()
+        group = cyclic_group(2)
+        t = indexing.level_tables(group, 4)
+        indexing.join(indexing.f_trivial(t), indexing.f_complete(t))
+        indexing.enumerate_systems(group, 4, "all")
+        tracer.uninstall()
+        print(json.dumps(tracer.metrics()))
+    """)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                           str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout)
+    assert metrics["indexing.join.calls"] >= 1
+    assert metrics["indexing.join.new_ratio"] > 0
+    assert metrics["poset.leq.calls"] == 108 * 108
