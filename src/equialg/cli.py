@@ -22,7 +22,7 @@ from .indexing import (ALL_LEVEL_GUARD, LEVEL_GUARD, default_cutoff,
 from .magmas import (eckmann_hilton, enumerate_interchanging_pairs,
                      enumerate_semi_mackey, pair_from_json,
                      pair_of_semi_mackey, canonical_pair_key)
-from .poset import fingerprint
+from .poset import LATTICE_GUARD, fingerprint
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -233,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"'all' (the default) is guarded at {ALL_LEVEL_GUARD} level "
              "classes, which cyclic:4 exceeds at its default cutoff; "
              f"'unital' and 'almost_unital' are guarded at {LEVEL_GUARD}; "
+             f"an enumeration stops past {LATTICE_GUARD} closed sets; "
              "a smaller --cutoff also helps")
     p_enum.add_argument("--transfer-systems", action="store_true")
 

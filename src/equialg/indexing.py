@@ -24,7 +24,8 @@ here as well.  The equivalent encoding by categories of G-set maps is in
 from __future__ import annotations
 
 import operator
-from collections import defaultdict
+from collections import Counter, defaultdict
+from itertools import chain, product, repeat
 
 from .errors import (CheckReport, CutoffOverflowError, GuardExceededError,
                      TheoremViolation, ValidationError)
@@ -361,12 +362,13 @@ class WeakIndexingSystem:
         t = self.tables
         for hi, adm in enumerate(self.admissible):
             for cid in adm:
-                cls = t.classes[hi][cid]
                 if cid == t.star(hi):
                     continue
-                n = len(cls)
-                for bits in range(1 << n):
-                    sub = tuple(cls[i] for i in range(n) if bits >> i & 1)
+                # each distinct sub-multiset once: a count per orbit type
+                counts = Counter(t.classes[hi][cid])
+                for take in product(*(range(m + 1) for m in counts.values())):
+                    sub = tuple(chain.from_iterable(
+                        repeat(o, k) for o, k in zip(counts, take)))
                     scid = t.encode(hi, sub)
                     if scid is not None and scid not in adm:
                         return False
@@ -531,7 +533,8 @@ def enumerate_systems(group: FiniteGroup, cutoff: int | None = None,
         found = [s for fam in _families(t)
                  for s in _enumerate_over_core(t, core_levels=sorted(fam),
                                                seed_levels=sorted(fam))]
-    poset = Poset(found, leq=operator.le, key=lambda s: s.sort_key())
+    poset = Poset.by_inclusion(found, lambda s: s.mask,
+                               key=lambda s: s.sort_key())
     t.posets[which] = poset
     return poset
 

@@ -1,14 +1,19 @@
-"""Small finite posets with Hasse-diagram and JSON export, and the one
-closure engine of both encodings of weak indexing systems: `close` and
-`closure_lattice` work on int bitmasks, with per-element rules supplied
-independently by `indexing.LevelTables` and `category._Ops`: `close` by
-semi-naive evaluation, `closure_lattice` by Fast Close-by-One."""
+"""Small finite posets, ordered by a predicate or by inclusion of int
+masks, with Hasse-diagram and JSON export, and the one closure engine of
+both encodings of weak indexing systems: `close` and `closure_lattice`
+work on int bitmasks, with per-element rules supplied independently by
+`indexing.LevelTables` and `category._Ops`: `close` by semi-naive
+evaluation, `closure_lattice` by Fast Close-by-One."""
 from __future__ import annotations
 
 import hashlib
 import json
 from functools import reduce
-from operator import or_
+from operator import and_, or_
+
+from .errors import GuardExceededError
+
+LATTICE_GUARD = 25_000  # closed sets `closure_lattice` lists before it stops
 
 
 def fingerprint(obj) -> str:
@@ -74,7 +79,9 @@ def closure_lattice(rules, core_seeds: int, candidates: int) -> list:
     from its start bit up, to `close(rules, 1 << j, x)`, kept with start
     j + 1 only if it adds no candidate bit below j.  A failed closure is
     handed down: descendants lacking one of those bits skip j.  The stack
-    is explicit, since chains can be as long as the candidate set."""
+    is explicit, since chains can be as long as the candidate set.  More
+    than `LATTICE_GUARD` closed sets is a `GuardExceededError`, raised as
+    soon as they are found."""
     core = close(rules, core_seeds)
     candidates &= ~core
     found = [core]
@@ -94,25 +101,58 @@ def closure_lattice(rules, core_seeds: int, candidates: int) -> list:
             else:
                 kids.append((y, j + 1))
         found.extend(y for y, _ in kids)
+        if len(found) > LATTICE_GUARD:
+            raise GuardExceededError(
+                f"more than {LATTICE_GUARD} closed sets exceed the lattice "
+                "guard; a filter or a lower cutoff gives fewer")
         stack.extend((y, s, failed) for y, s in reversed(kids))
     return found
+
+
+def _up_by_inclusion(masks) -> list:
+    """Up-set masks of the inclusion order of `masks`: bit j of up[i] is
+    set iff masks[i] is a subset of masks[j].  Bit-sliced: column c is the
+    mask of the nodes whose mask has bit c, and up[i] is the AND of the
+    columns of i's bits (every node when masks[i] is empty)."""
+    width = max(masks, default=0).bit_length()
+    # row i's digits, least bit first, so column c is the c-th digits;
+    # digits read as binary are cheaper than OR-ing in bits one by one
+    rows = [f"{m:0{width}b}"[::-1] for m in masks]
+    columns = [int("".join(col)[::-1], 2) for col in zip(*rows)]
+    everything = (1 << len(masks)) - 1
+    return [reduce(and_, [columns[c] for c in _bits(m)], everything)
+            for m in masks]
 
 
 class Poset:
     """A finite poset over externally supplied nodes.
 
-    Nodes are sorted by `key(node)`; `leq(a, b)` decides the order, which
-    is kept as one up-set mask per node: bit j of `up[i]` is set iff
-    node i <= node j.
+    Nodes are sorted by `key(node)`.  The order is kept as one up-set mask
+    per node: bit j of `up[i]` is set iff node i <= node j.  `Poset(nodes,
+    leq, key)` decides it with `leq`; `Poset.by_inclusion(nodes, mask,
+    key)` reads it from one int mask per node, ordered by inclusion.
     """
 
     def __init__(self, nodes, leq, key):
         self.nodes = sorted(nodes, key=key)
         self.keys = [key(n) for n in self.nodes]
-        # a row of digits read as binary is cheaper than OR-ing in its bits
-        self.up = [int("".join("1" if leq(a, b) else "0"
-                               for b in self.nodes)[::-1], 2)
-                   for a in self.nodes]
+        # a poset is the inclusion order of its down-sets
+        self.up = _up_by_inclusion([
+            int("".join("1" if leq(a, b) else "0"
+                        for a in self.nodes)[::-1], 2)
+            for b in self.nodes])
+
+    @classmethod
+    def by_inclusion(cls, nodes, mask, key) -> "Poset":
+        """The nodes ordered by inclusion of `mask(node)`, without a single
+        order test (as formal concepts are ordered by their extents:
+        Ganter-Wille, "Formal Concept Analysis").  Distinct nodes need
+        distinct masks."""
+        poset = cls.__new__(cls)
+        poset.nodes = sorted(nodes, key=key)
+        poset.keys = [key(n) for n in poset.nodes]
+        poset.up = _up_by_inclusion([mask(n) for n in poset.nodes])
+        return poset
 
     def __len__(self):
         return len(self.nodes)
@@ -151,7 +191,10 @@ class Poset:
     def to_json(self) -> str:
         """Compact JSON with sorted keys; the leq rows are written as text."""
         n = len(self.nodes)
-        rows = ",".join("[" + ",".join(f"{u:0{n}b}"[::-1]) + "]"
+        # replace("", ",") puts a comma around every digit and [1:-1] drops
+        # the outer two; one f-string adds the brackets, so no row is copied
+        # twice (a copy per row raises the peak memory of a large export)
+        rows = ",".join(f"[{f'{u:0{n}b}'[::-1].replace('', ',')[1:-1]}]"
                         for u in self.up)
         nodes = json.dumps([{"label": lab, "key": key}
                             for lab, key in zip(self.labels(), self.keys)],

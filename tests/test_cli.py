@@ -70,6 +70,18 @@ def test_enumerate_all_guard_names_the_way_out(capsys):
     assert "--cutoff" in help_text
 
 
+def test_enumerate_lattice_guard_exit_2(capsys):
+    # C3 at its default cutoff 9 has 26 level classes, under the guard of
+    # 80, but 66,913 systems, over the closed-set guard
+    code, out, err = run(capsys, "enumerate", "--group", "cyclic:3")
+    assert code == 2 and not out
+    assert err.startswith("guard:") and "closed sets" in err
+    with pytest.raises(SystemExit):
+        main(["enumerate", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "stops past 25000 closed sets" in help_text
+
+
 def test_enumerate_bad_group_exit_1(capsys):
     code, _, err = run(capsys, "enumerate", "--group", "cyclic:x")
     assert code == 1

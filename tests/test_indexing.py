@@ -28,7 +28,7 @@ from equialg.indexing import (LevelTables, WeakIndexingSystem, close_system,
                               level_tables, meet, system_check,
                               transfer_check, transfer_system_of,
                               truncate_system)
-from equialg.poset import _bits, _mask, close
+from equialg.poset import LATTICE_GUARD, _bits, _mask, close
 
 C1 = trivial_group()
 C2 = cyclic_group(2)
@@ -502,6 +502,46 @@ def test_almost_unital_agrees_with_summand_closure():
         assert s.is_almost_unital() == s.is_summand_closed()
 
 
+def summand_closed_by_subsets(s):
+    """The former `is_summand_closed`: every one of the 2**n orbit subsets
+    of each admissible class, repeated summands included."""
+    t = s.tables
+    for hi, adm in enumerate(s.admissible):
+        for cid in adm:
+            cls = t.classes[hi][cid]
+            if cid == t.star(hi):
+                continue
+            n = len(cls)
+            for bits in range(1 << n):
+                sub = tuple(cls[i] for i in range(n) if bits >> i & 1)
+                scid = t.encode(hi, sub)
+                if scid is not None and scid not in adm:
+                    return False
+    return True
+
+
+def test_summand_closure_matches_subset_walk():
+    # on systems both verdicts are is_almost_unital, which the empty summand
+    # alone decides; an almost-unital system less one class, no longer a
+    # system, tests the other summands
+    systems = list(enumerate_systems(C2, 6, "all"))
+    nodes = systems + [
+        WeakIndexingSystem(s.tables, s.mask & ~(1 << i), validate=False)
+        for s in systems if s.is_almost_unital() for i in _bits(s.mask)]
+    verdicts = [(s.is_summand_closed(), summand_closed_by_subsets(s))
+                for s in nodes]
+    assert all(new == ref for new, ref in verdicts)
+    assert {new for new, _ in verdicts} == {True, False}
+
+
+def test_summand_closure_at_c4_cutoff_24():
+    # a level-G class of 24 one-point orbits has 2**24 subsets but only
+    # 25 distinct summands
+    poset = enumerate_systems(C4, 24, "unital")
+    assert len(poset) == 21
+    assert all(s.is_summand_closed() == s.is_almost_unital() for s in poset)
+
+
 # -- transfer systems --------------------------------------------------------
 
 @pytest.mark.parametrize("group, almost, every", [
@@ -578,10 +618,21 @@ def test_transfer_extraction_needs_unital():
      "50 containment pairs exceed the guard of 22"),
     (lambda: enumerate_categories(C2, 8),
      "3960 map classes exceed the guard of 400"),
-], ids=["C16-levels", "C2-20-all", "C2xC2xC2-transfers", "C2-8-categories"])
+    # under the level-class guards, but with 4,260,274 and 66,913 systems
+    (lambda: enumerate_systems(s3_group(), 6, "all"),
+     "more than 25000 closed sets exceed the lattice guard"),
+    (lambda: enumerate_systems(cyclic_group(3), 9, "all"),
+     "more than 25000 closed sets exceed the lattice guard"),
+], ids=["C16-levels", "C2-20-all", "C2xC2xC2-transfers", "C2-8-categories",
+        "S3-6-all", "C3-9-all"])
 def test_enumeration_guards(build, message):
     with pytest.raises(GuardExceededError, match=message):
         build()
+
+
+def test_lattice_guard_leaves_c2_at_7_in_reach():
+    poset = enumerate_systems(C2, 7, "all")
+    assert len(poset) == 21398 <= LATTICE_GUARD
 
 
 def test_poset_exports():

@@ -1,8 +1,9 @@
-"""The up-set-mask `Poset` gated against the n-by-n order it replaced, and
-the Fast Close-by-One `closure_lattice` against the frontier search it
-replaced."""
+"""The up-set-mask `Poset`, built from `leq` or by inclusion of masks,
+gated against the n-by-n order it replaced, and the Fast Close-by-One
+`closure_lattice` against the frontier search it replaced."""
 import json
 import operator
+import random
 
 import pytest
 
@@ -110,12 +111,53 @@ CASES = {
 }
 
 
-@pytest.fixture(params=list(CASES), scope="module")
+def _random_masks():
+    """A seeded family of 60 masks over 12 bits and the empty mask; it has
+    several maximal members, so it is not a lattice."""
+    rng = random.Random(7)
+    return [0] + rng.sample(range(1, 1 << 12), 60)
+
+
+def _identity(x):
+    return x
+
+
+# (nodes, mask, key) for each poset under test built by `Poset.by_inclusion`
+INCLUSION_CASES = {
+    "C2-4-all-systems": lambda: (
+        enumerate_systems(C2, 4, "all").nodes, lambda s: s.mask, _sort_key),
+    "S3-6-unital-systems": lambda: (
+        enumerate_systems(s3_group(), 6, "unital").nodes, lambda s: s.mask,
+        _sort_key),
+    # the key is not a linear extension of the order
+    "random-masks": lambda: (_random_masks(), _identity, lambda m: (m % 7, m)),
+    "empty": lambda: ([], _identity, _identity),
+}
+
+PAIRS = {**{name: (False, build) for name, build in CASES.items()},
+         **{f"by-inclusion-{name}": (True, build)
+            for name, build in INCLUSION_CASES.items()}}
+
+
+@pytest.fixture(params=list(PAIRS), scope="module")
 def pair(request):
-    nodes, leq, key = CASES[request.param]()
+    """The poset under test, the reference built with the same order, and
+    (nodes, leq, a builder of the poset under another key)."""
+    by_inclusion, case = PAIRS[request.param]
+    nodes, order, key = case()
     nodes = list(nodes)
-    return Poset(nodes, leq, key), ReferencePoset(nodes, leq, key), \
-        (nodes, leq, key)
+    if by_inclusion:
+        def leq(a, b):
+            return not order(a) & ~order(b)
+
+        def build(k):
+            return Poset.by_inclusion(nodes, order, k)
+    else:
+        leq = order
+
+        def build(k):
+            return Poset(nodes, leq, k)
+    return build(key), ReferencePoset(nodes, leq, key), (nodes, leq, build)
 
 
 def test_order_queries_match_reference(pair):
@@ -133,10 +175,10 @@ def test_exports_match_reference(pair):
 
 
 def test_isomorphism_matches_reference(pair):
-    poset, ref, (nodes, leq, key) = pair
+    poset, ref, (nodes, leq, build) = pair
     n = len(nodes)
     # the same nodes under the reversed node order: a nontrivial pairing
-    other = Poset(nodes, leq, lambda x: (-poset.nodes.index(x),))
+    other = build(lambda x: (-poset.nodes.index(x),))
     other_ref = ReferencePoset(nodes, leq, lambda x: (-ref.nodes.index(x),))
     pairing = [n - 1 - i for i in range(n)]
     assert poset.is_isomorphic_via(other, pairing)

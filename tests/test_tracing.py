@@ -51,7 +51,8 @@ def test_tracer_targets_resolve():
 def test_tracer_observers_count_joins_and_order_tests():
     """With the tracer installed, a join feeds the join observer (which
     reads `result.admissible`) and a poset build counts every `leq` call
-    it passes through."""
+    it passes through: none for the systems poset, which is ordered by
+    inclusion of class masks, and 5 * 5 for the transfer systems of C4."""
     script = textwrap.dedent("""
         import json
         import equialg
@@ -66,6 +67,7 @@ def test_tracer_observers_count_joins_and_order_tests():
         t = indexing.level_tables(group, 4)
         indexing.join(indexing.f_trivial(t), indexing.f_complete(t))
         indexing.enumerate_systems(group, 4, "all")
+        indexing.enumerate_transfer_systems(cyclic_group(4))
         tracer.uninstall()
         print(json.dumps(tracer.metrics()))
     """)
@@ -78,4 +80,4 @@ def test_tracer_observers_count_joins_and_order_tests():
     metrics = json.loads(proc.stdout)
     assert metrics["indexing.join.calls"] >= 1
     assert metrics["indexing.join.new_ratio"] > 0
-    assert metrics["poset.leq.calls"] == 108 * 108
+    assert metrics["poset.leq.calls"] == 5 * 5
