@@ -9,6 +9,17 @@ two connectivity functions shifted by 2 is at most the connectivity of
 the join, with strictness exactly on the part of the join's down-set
 missed by the two separate down-sets.
 
+Since every value is -2 or INF, the bound is checked on down-set masks
+of node indices (`Poset.below`).  The left side conn(i) + conn(j) + 2 is
+-2 + -2 + 2 = -2 where both summands are -2 and INF wherever one is INF,
+so it is INF exactly on down(i) | down(j); the right side is INF exactly
+on down(i v j).  The pointwise inequality fails only where the left side
+is INF and the right side -2, so it holds iff (down(i) | down(j)) &
+~down(i v j) is empty, and it is strict exactly on down(i v j) &
+~(down(i) | down(j)).  `ConnFunction`, `conn_add` and `conn_shift` keep
+the arithmetic itself, and the report builds its two sides from the masks
+only when they are read.
+
 Little-disk connectivity over representations is evaluated through fixed
 point dimensions: an orbit with stabilizer K contributes the bounds
 dim V^K - dim V^J - 2 over the subgroups J strictly above K (passing to a
@@ -19,13 +30,14 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import cached_property
 from itertools import repeat
 
 from .errors import ValidationError
 from .groups import FiniteGroup, cyclic_group, subgroup_lattice
 from .gsets import GSet, fixed_points
 from .indexing import WeakIndexingSystem, join
-from .poset import Poset
+from .poset import Poset, _bits
 
 INF = math.inf
 
@@ -65,16 +77,27 @@ class ConnFunction:
         return frozenset(i for i, v in enumerate(self.values) if v == INF)
 
 
+def _down(i: WeakIndexingSystem, poset: Poset) -> int:
+    """Node-index mask of the down-set of i in the poset; i must be built
+    on the tables of the poset's systems, since masks over other tables
+    name other classes."""
+    nodes = poset.nodes
+    if not isinstance(i, WeakIndexingSystem) or (
+            nodes and getattr(nodes[0], "tables", None) is not i.tables):
+        raise ValidationError("system and poset over different tables")
+    return poset.below(i.mask)
+
+
+def _conn_of_down(poset: Poset, down: int) -> ConnFunction:
+    """Infinity on the nodes of the `down` mask, -2 off it."""
+    return ConnFunction(poset, [INF if down >> k & 1 else -2
+                                for k in range(len(poset))])
+
+
 def conn_n_infty(i: WeakIndexingSystem, poset: Poset) -> ConnFunction:
     """Infinity on the down-set of i, -2 off it; i must be built on the
-    tables of the poset's systems, since masks over other tables name
-    other classes."""
-    nodes = poset.nodes
-    if nodes and nodes[0].tables is not i.tables:
-        raise ValidationError("system and poset over different tables")
-    outside = ~i.mask
-    return ConnFunction(poset, [-2 if node.mask & outside else INF
-                                for node in nodes])
+    tables of the poset's systems."""
+    return _conn_of_down(poset, _down(i, poset))
 
 
 def _same_domain(f: ConnFunction, g: ConnFunction):
@@ -92,13 +115,25 @@ def conn_shift(f: ConnFunction, k: int) -> ConnFunction:
 
 
 class JoinBoundReport:
-    """Outcome of the pointwise join bound check."""
+    """Outcome of the pointwise join bound check, read from the masks of
+    the nodes where each side is infinite: `lhs_infinite` = down(i) |
+    down(j) and `rhs_infinite` = down(i v j).  The sides themselves are
+    built on first access, once."""
 
-    def __init__(self, holds, strict_witnesses, lhs, rhs):
-        self.holds = holds
-        self.strict_witnesses = tuple(strict_witnesses)
-        self.lhs = lhs
-        self.rhs = rhs
+    def __init__(self, poset: Poset, lhs_infinite: int, rhs_infinite: int):
+        self.poset = poset
+        self.lhs_infinite = lhs_infinite
+        self.rhs_infinite = rhs_infinite
+        self.holds = not lhs_infinite & ~rhs_infinite
+        self.strict_witnesses = tuple(_bits(rhs_infinite & ~lhs_infinite))
+
+    @cached_property
+    def lhs(self) -> ConnFunction:
+        return _conn_of_down(self.poset, self.lhs_infinite)
+
+    @cached_property
+    def rhs(self) -> ConnFunction:
+        return _conn_of_down(self.poset, self.rhs_infinite)
 
     def __bool__(self):
         return self.holds
@@ -116,11 +151,8 @@ def conn_join_bound(i: WeakIndexingSystem, j: WeakIndexingSystem,
     bound holds with equality away from down(i v j) minus the union of the
     two separate down-sets.
     """
-    lhs = conn_shift(conn_add(conn_n_infty(i, poset), conn_n_infty(j, poset)), 2)
-    rhs = conn_n_infty(join(i, j), poset)
-    strict = [k for k, (a, b) in enumerate(zip(lhs.values, rhs.values))
-              if a < b]
-    return JoinBoundReport(lhs <= rhs, strict, lhs, rhs)
+    di, dj = _down(i, poset), _down(j, poset)
+    return JoinBoundReport(poset, di | dj, poset.below(join(i, j).mask))
 
 
 class RepDimension:

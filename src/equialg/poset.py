@@ -11,7 +11,7 @@ import json
 from functools import reduce
 from operator import and_, or_
 
-from .errors import GuardExceededError
+from .errors import GuardExceededError, ValidationError
 
 LATTICE_GUARD = 25_000  # closed sets `closure_lattice` lists before it stops
 
@@ -130,12 +130,14 @@ class Poset:
     Nodes are sorted by `key(node)`.  The order is kept as one up-set mask
     per node: bit j of `up[i]` is set iff node i <= node j.  `Poset(nodes,
     leq, key)` decides it with `leq`; `Poset.by_inclusion(nodes, mask,
-    key)` reads it from one int mask per node, ordered by inclusion.
+    key)` reads it from one int mask per node, ordered by inclusion, and
+    keeps those masks in `masks` for `below` (None for a `leq` build).
     """
 
     def __init__(self, nodes, leq, key):
         self.nodes = sorted(nodes, key=key)
         self.keys = [key(n) for n in self.nodes]
+        self.masks = None
         # a poset is the inclusion order of its down-sets
         self.up = _up_by_inclusion([
             int("".join("1" if leq(a, b) else "0"
@@ -151,7 +153,9 @@ class Poset:
         poset = cls.__new__(cls)
         poset.nodes = sorted(nodes, key=key)
         poset.keys = [key(n) for n in poset.nodes]
-        poset.up = _up_by_inclusion([mask(n) for n in poset.nodes])
+        poset.masks = [mask(n) for n in poset.nodes]
+        poset._below = {}
+        poset.up = _up_by_inclusion(poset.masks)
         return poset
 
     def __len__(self):
@@ -162,6 +166,19 @@ class Poset:
 
     def index(self, node) -> int:
         return self.nodes.index(node)
+
+    def below(self, mask: int) -> int:
+        """Node-index mask of the nodes whose mask is a subset of `mask`
+        (which need not be a node's), memoised per mask by the poset.
+        Only a poset built `by_inclusion` has masks to read."""
+        if self.masks is None:
+            raise ValidationError("poset was not built by inclusion of masks")
+        down = self._below.get(mask)
+        if down is None:
+            outside = ~mask
+            down = self._below[mask] = _mask(
+                k for k, m in enumerate(self.masks) if not m & outside)
+        return down
 
     def covers(self) -> list:
         """Covering pairs (i, j) with node_i < node_j and nothing between:

@@ -1,4 +1,5 @@
 """Command-line front end: exit codes, determinism, file formats."""
+import hashlib
 import json
 
 import pytest
@@ -216,6 +217,39 @@ def test_conn_all_pairs_c4(capsys):
     code, out, _ = run(capsys, "conn", "--group", "cyclic:4", "--all-pairs")
     assert code == 0
     assert "0 failures" in out
+
+
+# SHA-256 of the --output file and of stdout, as written before the join
+# bound was read from down-set masks
+CONN_BYTES = {
+    "C4-12-all-pairs": (
+        ["--group", "cyclic:4", "--cutoff", "12", "--all-pairs"],
+        "f7d91733a781e20c43ed210a12adcee065247079eaf2ca478ce6db0c1e0a6251",
+        "d7d308b160339bcc395646e18b4684e19325f7a6f730542759fbe7277411823a"),
+    "C2-all-pairs": (
+        ["--group", "cyclic:2", "--all-pairs"],
+        "241ab327ac52312781e731e18327be44fd89dfb972efca58c6aceee381904270",
+        "becbf77164507c3d84f78a90b2aa1ce81382862bdfeb7d9cc927c93b231171ef"),
+    "C4-12-nodes": (
+        ["--group", "cyclic:4", "--cutoff", "12", "--nodes", "trivial",
+         "complete"],
+        "851fe51a3bc0ef458f25853f2fdbff0e8f969aa31be30490e3e95e9ca8769d76",
+        "66562b1afb33b70e4d667e863044ed0b8d936dcb98d34337c896a12d579ea289"),
+    "C2-nodes": (
+        ["--group", "cyclic:2", "--nodes", "trivial", "complete"],
+        "c7fe031ed58669a1b4c8ed23bd396ba1a91f343608050b436e7ff96b39a557d6",
+        "7bd8291c3ee967cc64f7a9de79206da20bbc943109b2108ef69675cdb6a2e8cc"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONN_BYTES))
+def test_conn_bytes_are_pinned(tmp_path, capsys, case):
+    argv, file_sha, out_sha = CONN_BYTES[case]
+    path = tmp_path / "conn.json"
+    code, out, _ = run(capsys, "conn", *argv, "--output", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha
 
 
 def test_conn_ev_value(capsys):

@@ -1,22 +1,31 @@
 """Extended-integer connectivity arithmetic and little-disk evaluation."""
 import math
+import random
 from itertools import product
 
 import pytest
 
-from equialg import cyclic_group
-from equialg.connectivity import (INF, ConnFunction, RepDimension,
-                                  conn_add, conn_join_bound, conn_n_infty,
-                                  conn_shift, disk_conn_c2, disk_conn_general,
-                                  disk_conn_value, non_additivity_witness)
+from equialg import cyclic_group, direct_product
+from equialg.connectivity import (INF, ConnFunction, JoinBoundReport,
+                                  RepDimension, conn_add, conn_join_bound,
+                                  conn_n_infty, conn_shift, disk_conn_c2,
+                                  disk_conn_general, disk_conn_value,
+                                  non_additivity_witness)
 from equialg.errors import ValidationError
-from equialg.groups import Subgroup
+from equialg.groups import FiniteGroup, Subgroup
 from equialg.gsets import GSet
 from equialg.indexing import (WeakIndexingSystem, enumerate_systems,
-                              f_complete, f_trivial, join, level_tables)
+                              enumerate_transfer_systems, f_complete,
+                              f_trivial, join, level_tables)
 
 C2 = cyclic_group(2)
 C4 = cyclic_group(4)
+
+
+def s3_group():
+    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
+    return FiniteGroup([[perms.index(tuple(p[q[i]] for i in range(3)))
+                         for q in perms] for p in perms], name="S3")
 
 
 def c2_set(c, d):
@@ -85,6 +94,11 @@ def test_conn_n_infty_reads_masks(monkeypatch):
     monkeypatch.setattr(WeakIndexingSystem, "__le__", no_le)
     assert [conn_n_infty(i, poset).infinite_set()
             for i in poset.nodes] == expected
+    for i in poset.nodes:
+        for j in poset.nodes:
+            rep = conn_join_bound(i, j, poset)
+            assert rep.holds
+            assert rep.lhs is rep.lhs and rep.rhs is rep.rhs
 
 
 def test_conn_n_infty_needs_the_poset_tables():
@@ -98,6 +112,18 @@ def test_conn_n_infty_needs_the_poset_tables():
         conn_join_bound(other, other, poset)
     own = f_trivial(level_tables(C2, 4))
     assert conn_n_infty(own, poset).infinite_set() == {poset.index(own)}
+
+
+def test_conn_on_transfer_systems_is_a_validation_error():
+    # a poset ordered by a predicate, of nodes that are not weak indexing
+    # systems: neither the tables check nor a down-set mask applies
+    poset = enumerate_transfer_systems(C4)
+    own = f_trivial(level_tables(C4, 12))
+    for i, j in [(poset.nodes[0], poset.nodes[-1]), (own, own)]:
+        with pytest.raises(ValidationError):
+            conn_n_infty(i, poset)
+        with pytest.raises(ValidationError):
+            conn_join_bound(i, j, poset)
 
 
 def test_conn_pointwise_arithmetic():
@@ -161,6 +187,81 @@ def test_join_bound_holds_with_exact_strictness(group, cutoff):
             expected = tuple(k for k, node in enumerate(nodes)
                              if node <= jj and not node <= i and not node <= j)
             assert rep.strict_witnesses == expected
+
+
+def reference_join_bound(i, j, conn):
+    """The bound by the arithmetic itself: `conn(s)` is the connectivity
+    function of s on the literal down-set {k : node_k <= s}."""
+    lhs = conn_shift(conn_add(conn(i), conn(j)), 2)
+    rhs = conn(join(i, j))
+    strict = tuple(k for k, (a, b) in enumerate(zip(lhs.values, rhs.values))
+                   if a < b)
+    return lhs <= rhs, strict, lhs.values, rhs.values
+
+
+# (group, cutoff, pairs drawn with seed 0 or None for every pair, pairs
+#  with a strict witness); the bound holds on every pair
+JOIN_BOUND_CASES = {
+    "C2-6": (C2, 6, None, 6),
+    "C4-12": (C4, 12, None, 222),
+    "S3-6": (s3_group(), 6, None, 8890),
+    "C2xC2-8": (direct_product(C2, C2), 8, 2000, 1108),
+}
+
+
+@pytest.mark.parametrize("case", list(JOIN_BOUND_CASES))
+def test_join_bound_masks_match_the_arithmetic(case):
+    group, cutoff, draws, n_strict = JOIN_BOUND_CASES[case]
+    poset = enumerate_systems(group, cutoff, "almost_unital")
+    nodes = poset.nodes
+    literal = {}
+
+    def conn(s):
+        if s not in literal:
+            literal[s] = ConnFunction(poset, [INF if node <= s else -2
+                                              for node in nodes])
+        return literal[s]
+
+    if draws is None:
+        pairs = list(product(nodes, repeat=2))
+    else:
+        rng = random.Random(0)
+        pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(draws)]
+    strict_pairs = 0
+    for i, j in pairs:
+        rep = conn_join_bound(i, j, poset)
+        holds, strict, lhs, rhs = reference_join_bound(i, j, conn)
+        assert holds
+        assert (rep.holds, rep.strict_witnesses, rep.lhs.values,
+                rep.rhs.values) == (holds, strict, lhs, rhs)
+        strict_pairs += bool(strict)
+    assert strict_pairs == n_strict
+
+
+def test_join_bound_report_matches_the_arithmetic_where_it_fails():
+    # the bound holds on every pair of systems, so a failing verdict needs
+    # down-set masks that no pair gives
+    poset = enumerate_systems(C4, 12, "almost_unital")
+    n = len(poset)
+    rng = random.Random(0)
+
+    def conn(down):
+        return ConnFunction(poset, [INF if down >> k & 1 else -2
+                                    for k in range(n)])
+
+    verdicts = set()
+    for _ in range(200):
+        a, b, c = (rng.getrandbits(n) for _ in range(3))
+        lhs, rhs = conn_shift(conn_add(conn(a), conn(b)), 2), conn(c)
+        rep = JoinBoundReport(poset, a | b, c)
+        assert rep.holds == (lhs <= rhs)
+        assert rep.strict_witnesses == tuple(
+            k for k in range(n) if lhs[k] < rhs[k])
+        assert rep.lhs == lhs and rep.rhs == rhs
+        verdicts.add(rep.holds)
+        rep = JoinBoundReport(poset, a & c, c)
+        assert rep.holds and rep.lhs <= rep.rhs
+    assert verdicts == {False}
 
 
 def test_join_bound_strict_witness_on_c4_transfers():

@@ -10,10 +10,12 @@ import pytest
 import equialg.poset
 from equialg import cyclic_group, direct_product
 from equialg.category import _ops_for, enumerate_categories
+from equialg.errors import ValidationError
 from equialg.groups import FiniteGroup
 from equialg.indexing import (enumerate_systems, enumerate_transfer_systems,
                               level_tables)
-from equialg.poset import Poset, _bits, close, closure_lattice, fingerprint
+from equialg.poset import (Poset, _bits, _mask, close, closure_lattice,
+                           fingerprint)
 
 C2 = cyclic_group(2)
 
@@ -191,6 +193,47 @@ def test_isomorphism_matches_reference(pair):
     if n:
         assert not poset.is_isomorphic_via(other, pairing[:-1])
         assert not poset.is_isomorphic_via(other, [0] * n) or n == 1
+
+
+# -- down-set masks of a poset ordered by inclusion ---------------------------
+
+def test_below_matches_reference(pair):
+    poset, ref, _ = pair
+    if poset.masks is None:
+        with pytest.raises(ValidationError, match="by inclusion"):
+            poset.below(0)
+        return
+    n = len(ref.nodes)
+    for j, m in enumerate(poset.masks):
+        expected = _mask(i for i in range(n) if ref.le[i][j])
+        assert poset.below(m) == expected
+        assert poset.below(m) == expected  # from the poset's memo
+    assert poset.below(0) == _mask(i for i in range(n) if not poset.masks[i])
+
+
+# group, cutoff, and the filter of further systems to query, whose masks
+# need not be nodes of the almost-unital poset
+BELOW_CASES = {
+    "C2-6": (lambda: C2, 6, "all"),
+    "C4-12": (lambda: cyclic_group(4), 12, None),
+    "S3-6": (s3_group, 6, None),
+    "C2xC2-8": (lambda: direct_product(C2, C2), 8, None),
+}
+
+
+@pytest.mark.parametrize("case", list(BELOW_CASES))
+def test_below_matches_the_systems_order(case):
+    group, cutoff, extra = BELOW_CASES[case]
+    poset = enumerate_systems(group(), cutoff, "almost_unital")
+    queries = list(poset.nodes)
+    if extra:
+        queries += enumerate_systems(group(), cutoff, extra).nodes
+    outside = 0
+    for s in queries:
+        expected = _mask(k for k, node in enumerate(poset.nodes) if node <= s)
+        assert poset.below(s.mask) == expected
+        outside += s.mask not in poset.masks
+    assert outside == (3692 - 9 if extra else 0)
 
 
 # -- closure_lattice against the frontier search ------------------------------
