@@ -163,7 +163,7 @@ def _matchings(left, right):
 def _transports(tables, src_level, dst_level, cid):
     """Distinct conjugation transports of a class between conjugate levels."""
     outs = set()
-    for g in tables.group.elements:
+    for g in tables.conj_reps:
         if tables.conj_sid[g][src_level] == dst_level:
             hj, moved = tables.conj_cls(g, src_level, cid)
             outs.add(moved)

@@ -64,6 +64,12 @@ class LevelTables:
         self.sub_order = [h.order for h in self.lat.nodes]
         self.abelian = group.is_abelian()
         self.conj_sid = self.lat.conj_table  # [g][sid]: sid of g H g^-1
+        # the first element of each distinct conj_sid row, in element order:
+        # conj_cls reads its g only through that row
+        rows = {}
+        for g in group.elements:
+            rows.setdefault(self.conj_sid[g], g)
+        self.conj_reps = tuple(rows.values())
         self.sub_sids = []      # per H: sids of subgroups contained in H
         self.h_class_rep = []   # per H: {K sid -> H-conjugacy class rep sid}
         self.orbit_types = []   # per H: sorted tuple of rep sids
@@ -226,7 +232,7 @@ class LevelTables:
             off = self.offset
             unary = 0
             if not self.abelian:
-                for g in self.group.elements:
+                for g in self.conj_reps:
                     hj, moved = self.conj_cls(g, hi, cid)
                     unary |= 1 << (off[hj] + moved)
             for ki in self.sub_sids[hi]:
@@ -251,7 +257,7 @@ class LevelTables:
         """Least class in the orbit of cid under the normalizer of H."""
         if self.abelian:
             return cid
-        return min(self.conj_cls(g, hi, cid)[1] for g in self.group.elements
+        return min(self.conj_cls(g, hi, cid)[1] for g in self.conj_reps
                    if self.conj_sid[g][hi] == hi)
 
     def guard_levels(self, limit: int, advice: str):

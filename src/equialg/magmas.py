@@ -7,8 +7,7 @@ both levels, a restriction r into the fixed points, an equivariant
 transfer t, and r∘t equal to multiplication by p.  "Multiplication by p"
 defaults to the p-fold power x·(x·(...)); the `norm_axiom` toggle switches
 to the twisted product over the group, and the two readings agree whenever
-the action is trivial (in particular on every carrier the exhaustive sweep
-reaches).
+the action is trivial, where the orbit of x is p copies of x.
 
 The engine is a falsification harness: `eckmann_hilton` checks its
 preconditions, then checks each conclusion once (the two structures
@@ -19,14 +18,16 @@ The two exhaustive sweeps, of interchanging pairs and of semi-Mackey
 functors, draw their candidates from one generator, `_candidates`, which
 also holds their one guard: a non-prime p is a `ValidationError`, and p > 3
 or a carrier larger than `SWEEP_GUARD` is a `GuardExceededError`.  It
-prunes on the axioms both full checks share, and the pair sweep checks
-interchange only between magmas with transposed tables; both sweeps return
-what generate-and-test returns, in the same order (see `_candidates` and
-`enumerate_interchanging_pairs`).
+prunes on the four axioms both full checks share and, where the action is
+trivial, on r(t(x)) = x^p, which both readings and the double coset law
+demand there; the pair sweep checks interchange only between magmas with
+transposed tables.  Both sweeps return what generate-and-test returns, in
+the same order (see `_candidates` and `enumerate_interchanging_pairs`).
 """
 from __future__ import annotations
 
 import json
+from functools import cache
 from itertools import groupby, permutations, product
 from operator import itemgetter
 
@@ -325,9 +326,11 @@ class SemiMackeyFunctor(_TwoLevelStructure):
                              self.unit_g, self.t, norm_axiom=norm_axiom)
 
 
+@cache
 def _span_rt_composite(p):
     """The composite span encoding restriction-after-transfer on the free
-    orbit, built by actual span composition."""
+    orbit, built by actual span composition, once per p; its readers only
+    read it."""
     g = cyclic_group(p)
     free = GSet.regular(g)
     transfer = Span(GSetMap.identity(free), terminal_map(free))
@@ -511,9 +514,13 @@ def _candidates(p, max_e, max_g):
     tested where their tables are first fixed: action-multiplicativity on
     mul_e; r-multiplicativity, which narrows each cell of mul_g to an
     r-preimage, while mul_g is built; t-equivariance and
-    t-multiplicativity on t.  What is dropped fails both full checks, which
-    still decide, so the survivors and their order are those of the full
-    product."""
+    t-multiplicativity on t.  Where sigma is trivial, the orbit of x is p
+    copies of x, so norm(x) is the p-fold power of x: both readings of
+    `validate_magma` and the double coset law of `semi_mackey_check` demand
+    r(t(x)) = x^p, which narrows the transfers once per mul_e, and a mul_e
+    left with none is skipped before any mul_g is built.  What is dropped
+    fails every full check, which still decide, so the survivors and their
+    order are those of the full product."""
     if not _is_prime(p):
         raise ValidationError("p must be prime")
     if p > 3 or max_e > SWEEP_GUARD or max_g > SWEEP_GUARD:
@@ -521,6 +528,7 @@ def _candidates(p, max_e, max_g):
     for ne in range(1, max_e + 1):
         for ng in range(1, max_g + 1):
             for sigma in _sigmas(ne, p):
+                trivial = sigma == tuple(range(ne))
                 fixed = [x for x in range(ne) if sigma[x] == x]
                 inv = _inv(sigma)
                 # t(0) = 0 and t∘sigma = t
@@ -536,11 +544,20 @@ def _candidates(p, max_e, max_g):
                         # sigma is an automorphism of mul_e
                         if _relabel_table(mul_e, sigma, inv) != mul_e:
                             continue
+                        mul_e_ts = ts
+                        if trivial:
+                            # r(t(x)) = x^p
+                            pw = tuple(nested_product(mul_e, [x] * p)
+                                       for x in range(ne))
+                            mul_e_ts = [t for t in ts
+                                        if tuple(map(r.__getitem__, t)) == pw]
+                            if not mul_e_ts:
+                                continue
                         cell_values = [preimage.get(mul_e[r[i]][r[j]], ())
                                        for i in range(1, ng)
                                        for j in range(1, ng)]
                         for mul_g in _unital_tables(ng, cell_values):
-                            for t in ts:
+                            for t in mul_e_ts:
                                 if _t_multiplicative(mul_e, mul_g, t):
                                     yield base, mul_e, mul_g, t
 

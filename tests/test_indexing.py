@@ -14,9 +14,9 @@ import pytest
 import equialg
 from equialg import (GuardExceededError, ValidationError, cyclic_group,
                      direct_product, trivial_group)
-from equialg.category import (WeakIndexingCategory, _ops_for, close_category,
-                              enumerate_categories, generate_category,
-                              i_complete, i_trivial,
+from equialg.category import (WeakIndexingCategory, _ops_for, _transports,
+                              close_category, enumerate_categories,
+                              generate_category, i_complete, i_trivial,
                               is_weak_indexing_category, iso_classes,
                               map_class_of, map_class_universe)
 from equialg.errors import CutoffOverflowError
@@ -462,6 +462,43 @@ def test_category_enumeration_nodes_are_valid_and_segal_structured():
     for n in pc.nodes:
         wic = WeakIndexingCategory.from_map_classes(t, n)
         assert wic.map_classes() == n
+
+
+def d8_group():
+    """Symmetries of a square on its corners: non-abelian with a centre, so
+    some rows of the conjugation table repeat."""
+    elems = [(0, 1, 2, 3)]
+    for x in elems:
+        for g in [(1, 2, 3, 0), (0, 3, 2, 1)]:
+            y = tuple(g[i] for i in x)
+            if y not in elems:
+                elems.append(y)
+    return FiniteGroup([[elems.index(tuple(p[q[i]] for i in range(4)))
+                         for q in elems] for p in elems], name="D8")
+
+
+@pytest.mark.parametrize("group, cutoff, rows", [
+    (C2, 4, 1), (direct_product(C2, C2), 8, 1), (s3_group(), 6, 6),
+    (d8_group(), 8, 4)], ids=["C2-4", "C2xC2-8", "S3-6", "D8-8"])
+def test_conjugation_reads_one_element_per_conj_sid_row(group, cutoff, rows):
+    """`LevelTables.conj_reps` is the first element of each distinct
+    `conj_sid` row, and the transports and normalizer minima read from it
+    equal those taken over every group element."""
+    t = level_tables(group, cutoff)
+    firsts = {}
+    for g in group.elements:
+        firsts.setdefault(t.conj_sid[g], g)
+    assert t.conj_reps == tuple(firsts.values())
+    assert len(t.conj_reps) == rows
+    for src in range(t.n_sids):
+        for cid in range(len(t.classes[src])):
+            moved = {dst: set() for dst in range(t.n_sids)}
+            for g in group.elements:
+                hj, out = t.conj_cls(g, src, cid)
+                moved[hj].add(out)
+            for dst in range(t.n_sids):
+                assert _transports(t, src, dst, cid) == sorted(moved[dst])
+            assert t.weyl_canonical(src, cid) == min(moved[src])
 
 
 def test_brute_force_power_set_oracle_c2():

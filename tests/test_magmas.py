@@ -297,6 +297,84 @@ def test_pruned_sweeps_equal_brute_force(box):
     assert literal and functors
 
 
+def _four_axiom_candidates(p, max_e, max_g):
+    """The candidate stream pruned on the four axioms both full checks share
+    and nothing else: action-multiplicativity, r-multiplicativity,
+    t-equivariance and t-multiplicativity, in the order of `_candidates`."""
+    def unital_tables(n):
+        for fill in product(range(n), repeat=(n - 1) ** 2):
+            cells = iter(fill)
+            yield tuple(tuple(j if i == 0 else i if j == 0 else next(cells)
+                              for j in range(n)) for i in range(n))
+
+    for ne in range(1, max_e + 1):
+        for ng in range(1, max_g + 1):
+            for sigma in permutations(range(ne)):
+                x = list(range(ne))
+                for _ in range(p):
+                    x = [sigma[i] for i in x]
+                if sigma[0] != 0 or x != list(range(ne)):
+                    continue
+                fixed = [x for x in range(ne) if sigma[x] == x]
+                ts = [t for t in product(range(ng), repeat=ne)
+                      if t[0] == 0 and all(t[sigma[x]] == t[x]
+                                           for x in range(ne))]
+                for rest in product(fixed, repeat=ng - 1):
+                    r = (0,) + rest
+                    base = CoefficientSystem(p, ne, sigma, ng, r)
+                    for mul_e in unital_tables(ne):
+                        if any(sigma[mul_e[x][y]] != mul_e[sigma[x]][sigma[y]]
+                               for x in range(ne) for y in range(ne)):
+                            continue
+                        for mul_g in unital_tables(ng):
+                            if any(r[mul_g[x][y]] != mul_e[r[x]][r[y]]
+                                   for x in range(ng) for y in range(ng)):
+                                continue
+                            for t in ts:
+                                if all(t[mul_e[x][y]] == mul_g[t[x]][t[y]]
+                                       for x in range(ne) for y in range(ne)):
+                                    yield base, mul_e, mul_g, t
+
+
+@pytest.mark.parametrize("box, kept, total", [
+    ((2, 3, 3), 2746, 12795), ((3, 3, 2), 12, 427), ((3, 2, 3), 112, 427),
+    ((3, 3, 3), 400, 11764)], ids=["p2-3x3", "p3-3x2", "p3-2x3", "p3-3x3"])
+def test_rt_prune_drops_only_what_every_full_check_rejects(box, kept, total):
+    """Past the boxes the brute-force gate reaches: the r∘t prune keeps an
+    ordered subsequence of the four-axiom stream, leaves the candidates
+    over a non-trivial action alone, and every candidate it drops fails
+    `validate_magma` under both readings and `semi_mackey_check`."""
+    reference = list(_four_axiom_candidates(*box))
+    pruned = list(equialg.magmas._candidates(*box))
+    assert (len(pruned), len(reference)) == (kept, total)
+    dropped = []
+    it = iter(pruned)
+    nxt = next(it, None)
+    for cand in reference:
+        if cand == nxt:
+            nxt = next(it, None)
+        else:
+            dropped.append(cand)
+    assert nxt is None and len(dropped) == total - kept
+
+    def nontrivial(cands):
+        return [c for c in cands if c[0].sigma != tuple(range(c[0].size_e))]
+    assert nontrivial(pruned) == nontrivial(reference)
+    for base, mul_e, mul_g, t in dropped:
+        m = CpUnitalMagma(base, mul_e, 0, mul_g, 0, t, validate=False)
+        assert not validate_magma(m) and not validate_magma(m, norm_axiom=True)
+        sm = SemiMackeyFunctor(base, mul_e, 0, mul_g, 0, t, validate=False)
+        assert not semi_mackey_check(sm)
+
+
+def test_p3_functor_sweep_at_3x3_round_trips():
+    sms = enumerate_semi_mackey(3, 3, 3)
+    assert len(sms) == 38
+    for s in sms:
+        back = eckmann_hilton(pair_of_semi_mackey(s), norm_axiom=True)
+        assert back.key() == s.key()
+
+
 def test_sweep_guard():
     # one guard for both sweeps; at size 5 a sweep would visit 5^16 tables
     for sweep in (enumerate_interchanging_pairs, enumerate_semi_mackey):
