@@ -29,7 +29,8 @@ from .errors import (CheckReport, CutoffOverflowError, GuardExceededError,
 from .groups import FiniteGroup
 from .gsets import GSetMap
 from .indexing import (LevelTables, WeakIndexingSystem, close_system,
-                       default_cutoff, level_tables, system_check)
+                       default_cutoff, f_complete, f_trivial, level_tables,
+                       system_check)
 from .poset import Poset, _bits, _mask, close, closure_lattice
 
 GROUND_GUARD = 400  # map classes the category enumeration accepts
@@ -44,8 +45,9 @@ def component(tables: LevelTables, hi: int, cid: int) -> tuple:
     if rep != hi:
         n = next(g for g in tables.group.elements
                  if tables.conj_sid[g][hi] == rep)
-        hi, cid = tables.conj_cls(n, hi, cid)
-        assert hi == rep
+        hj, cid = tables.conj_cls(n, hi, cid)
+        if hj != rep:
+            raise tables.violation("conjugate is not the rep", n, hi, hj, rep)
     return (rep, tables.weyl_canonical(rep, cid))
 
 
@@ -101,7 +103,8 @@ def map_class_of(tables: LevelTables, f: GSetMap) -> tuple:
             k = lat.index_of[f.src.stabilizer(min(sub_orbit)).members]
             types.append(tables.h_class_rep[hi][k])
         cid = tables.encode(hi, tuple(types))
-        assert cid is not None
+        if cid is None:
+            raise tables.violation("fiber exceeds its level", hi, types)
         comps.append(component(tables, hi, cid))
     return tuple(sorted(comps))
 
@@ -187,7 +190,8 @@ def compose_classes(tables: LevelTables, c1: tuple, c2: tuple) -> set:
         for k in tables.classes[h][cid]:
             slots_by_type[tables.lat.class_rep(k)].append((j, k))
     types = sorted(slots_by_type)
-    assert sorted(fibers_by_type) == types
+    if sorted(fibers_by_type) != types:
+        raise tables.violation("middle orbit types differ", c1, c2)
     per_type = [list(_matchings(slots_by_type[t], fibers_by_type[t]))
                 for t in types]
     results = set()
@@ -210,7 +214,9 @@ def compose_classes(tables: LevelTables, c1: tuple, c2: tuple) -> set:
                 comps = []
                 for j, (hj, _) in enumerate(c2):
                     cid = tables.encode(hj, tuple(fibers_out[j]))
-                    assert cid is not None
+                    if cid is None:
+                        raise tables.violation("composite exceeds its level",
+                                               c1, c2, hj, fibers_out[j])
                     comps.append(component(tables, hj, cid))
                 results.add(tuple(sorted(comps)))
             return
@@ -247,7 +253,8 @@ def pullback_classes(tables: LevelTables, cf: tuple, cg: tuple) -> set:
             budget = src_budget
             ok = True
             for (h, fid_g), (h2, fid_f) in zip(g_by_type[t], m):
-                assert h == h2
+                if h != h2:
+                    raise tables.violation("matched bases differ", cf, cg, h, h2)
                 for k in tables.classes[h][fid_g]:
                     rcid = tables.restrict_cls(h, k, fid_f)
                     if rcid is None:
@@ -496,11 +503,8 @@ class WeakIndexingCategory:
         t = sys.tables
         reps = sorted({t.lat.class_rep(i) for i in range(t.n_sids)})
         adm = sys.admissible
-        comps = set()
-        for h in reps:
-            for cid in adm[h]:
-                comps.add((h, t.weyl_canonical(h, cid)))
-        return cls(t, comps, validate=False)
+        return cls(t, {(h, t.weyl_canonical(h, cid))
+                       for h in reps for cid in adm[h]}, validate=False)
 
     @classmethod
     def from_map_classes(cls, tables: LevelTables, classes
@@ -510,12 +514,10 @@ class WeakIndexingCategory:
 
 
 def i_trivial(tables: LevelTables) -> WeakIndexingCategory:
-    from .indexing import f_trivial
     return WeakIndexingCategory.from_system(f_trivial(tables))
 
 
 def i_complete(tables: LevelTables) -> WeakIndexingCategory:
-    from .indexing import f_complete
     return WeakIndexingCategory.from_system(f_complete(tables))
 
 
@@ -528,10 +530,7 @@ def generate_category(group: FiniteGroup, generators, unital: bool = False,
     unitality flag adjoins the empty arity everywhere.
     """
     tables = level_tables(group, cutoff or default_cutoff(group))
-    seeds = []
-    for f in generators:
-        for (h, cid) in map_class_of(tables, f):
-            seeds.append((h, cid))
+    seeds = [comp for f in generators for comp in map_class_of(tables, f)]
     sys = close_system(tables, seeds,
                        unital_levels=range(tables.n_sids) if unital else ())
     return WeakIndexingCategory.from_system(sys)

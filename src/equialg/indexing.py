@@ -142,6 +142,11 @@ class LevelTables:
         """Class id at level hi, or None if it exceeds the level cutoff."""
         return self.class_id[hi].get(tuple(sorted(cls)))
 
+    def violation(self, message: str, *witness) -> TheoremViolation:
+        """A `TheoremViolation` whose witness leads with group and cutoff."""
+        return TheoremViolation(message,
+                                (self.group.name, self.cutoff) + witness)
+
     def bit(self, hi: int, cid: int) -> int:
         """Bit of class cid at level hi; an id outside the level is a
         ValidationError, since its bit would name a class of another level."""
@@ -204,7 +209,8 @@ class LevelTables:
         hj = conj[hi]
         rep = self.h_class_rep[hj]
         res = self.encode(hj, tuple(rep[conj[k]] for k in self.classes[hi][cid]))
-        assert res is not None  # conjugation preserves size and level cutoff
+        if res is None:
+            raise self.violation("conjugate exceeds its level", g, hi, cid)
         return (hj, res)
 
     def coproduct_single(self, hi: int, cid_s: int, ki: int, cid_t: int):

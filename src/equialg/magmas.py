@@ -12,7 +12,8 @@ the action is trivial, where the orbit of x is p copies of x.
 The engine is a falsification harness: `eckmann_hilton` checks its
 preconditions, then checks each conclusion once (the two structures
 coincide, and their common structure passes `semi_mackey_check`) and raises
-`TheoremViolation` with a witness if any fails.
+`TheoremViolation` with a witness if any fails.  `check_interchange`
+checks binary interchange only; the p×p grid law follows (see its proof).
 
 The two exhaustive sweeps, of interchanging pairs and of semi-Mackey
 functors, draw their candidates from one generator, `_candidates`, which
@@ -78,9 +79,6 @@ class CoefficientSystem:
         for _ in range(g % self.p):
             x = self.sigma[x]
         return x
-
-    def fixed(self):
-        return [x for x in range(self.size_e) if self.sigma[x] == x]
 
     def key(self):
         return (self.p, self.size_e, self.sigma, self.size_g, self.r)
@@ -261,13 +259,22 @@ def check_interchange(pair: InterchangePair,
                       norm_axiom: bool = False) -> CheckReport:
     """The interchange relations between the two structures.
 
-    Beyond shared units and the grid laws, the two transfers must
+    Beyond shared units and binary interchange, the two transfers must
     intertwine the other structure's multiplications, restrict compatibly
     (r∘t of one structure is multiplication by p in the other, read per
     the active axiom), and agree through the identified p-ary
     multiplications: t_bullet(star(y_1..y_p)) = t_star(bullet(y_1..y_p)).
     Without that last relation the two transfers are not coupled at all,
     and structures with t_star != t_bullet satisfy everything else.
+
+    Binary interchange implies the p×p grid law, so that is not checked.
+    With ·_1, ·_2 the star and bullet products of a level and
+    N_i(x_1..x_m) = x_1 ·_i N_i(x_2..x_m), if (a ·_1 x) ·_2 (y ·_1 z) =
+    (a ·_2 y) ·_1 (x ·_2 z) always, N_2 of the row products N_1 equals N_1
+    of the column products N_2 on every k×m grid: for two rows by induction
+    on m, as N_1(a, X) ·_2 N_1(y, Z) = (a ·_2 y) ·_1 (N_1(X) ·_2 N_1(Z));
+    then by induction on k, applying that to row 1 and the column products
+    of rows 2..k.  No unit, associativity or commutativity is used.
     """
     s, b = pair.star, pair.bullet
     base = pair.base
@@ -280,16 +287,6 @@ def check_interchange(pair: InterchangePair,
             if mul2[mul1[a][x]][mul1[y][z]] != mul1[mul2[a][y]][mul2[x][z]]:
                 return CheckReport(False, f"binary-interchange-{level}",
                                    (a, x, y, z))
-    if p > 2:
-        for (mul1, mul2, n, level) in [(s.mul_e, b.mul_e, ne, "e"),
-                                       (s.mul_g, b.mul_g, ng, "G")]:
-            for grid in product(range(n), repeat=p * p):
-                rows = [grid[i * p:(i + 1) * p] for i in range(p)]
-                cols = [grid[i::p] for i in range(p)]
-                lhs = nested_product(mul2, [nested_product(mul1, r) for r in rows])
-                rhs = nested_product(mul1, [nested_product(mul2, c) for c in cols])
-                if lhs != rhs:
-                    return CheckReport(False, f"grid-interchange-{level}", grid)
     for x, y in product(range(ne), repeat=2):
         if b.t[s.mul_e[x][y]] != s.mul_g[b.t[x]][b.t[y]]:
             return CheckReport(False, "t-bullet-star-homomorphism", (x, y))
@@ -489,12 +486,8 @@ def _unital_tables(n, cell_values=None):
 
 
 def _sigmas(n, p):
-    ident = tuple(range(n))
-    out = []
-    for perm in permutations(range(n)):
-        if perm[0] == 0 and _perm_power(perm, p) == ident:
-            out.append(perm)
-    return out
+    return [perm for perm in permutations(range(n))
+            if perm[0] == 0 and _perm_power(perm, p) == tuple(range(n))]
 
 
 def _t_multiplicative(mul_e, mul_g, t):

@@ -132,9 +132,23 @@ def test_criterion_3_eckmann_hilton_sweep():
     trivial_action = [s for s in sms3
                       if s.base.sigma == tuple(range(s.base.size_e))]
     ok = ok and len(lit) == len(trivial_action)
+    # the (3,3) box at p = 3: under both readings the pairs biject with the
+    # functors
+    sm_keys = sorted(canonical_pair_key(pair_of_semi_mackey(s))
+                     for s in enumerate_semi_mackey(3, 3, 3))
+    ok = ok and len(sm_keys) == 38
+    p3_counts = []
+    for norm_axiom in (False, True):
+        p3 = enumerate_interchanging_pairs(3, 3, 3, norm_axiom=norm_axiom)
+        for p in p3:
+            eckmann_hilton(p, norm_axiom=norm_axiom)
+        p3_counts.append(len(p3))
+        ok = ok and sorted(canonical_pair_key(p) for p in p3) == sm_keys
     verdict(3, ok and violations == 0,
             f"sizes<=2: {len(pairs)} pairs, size-3 box: {len(lit)} literal / "
-            f"{len(nrm)} orbit-product pairs, 0 violations", t0, 600)
+            f"{len(nrm)} orbit-product pairs, p=3 size-3 box: "
+            f"{p3_counts[0]} literal / {p3_counts[1]} orbit-product pairs = "
+            f"{len(sm_keys)} functors, 0 violations", t0, 600)
 
 
 def test_criterion_4_join_bound_with_exact_strictness():

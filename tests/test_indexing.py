@@ -276,6 +276,28 @@ def test_meet_theorem_check_survives_optimized_mode():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_conjugation_check_survives_optimized_mode():
+    """Under `python -O` a conjugate class that fails to encode still raises
+    from `conj_cls`, with group and cutoff leading the witness."""
+    script = textwrap.dedent("""
+        import sys
+        from equialg import TheoremViolation, cyclic_group
+        from equialg.indexing import LevelTables, level_tables
+        t = level_tables(cyclic_group(2), 4)
+        LevelTables.encode = lambda self, hi, cls: None
+        try:
+            t.conj_cls(1, 0, 0)
+        except TheoremViolation as exc:
+            sys.exit(0 if exc.witness == ("C2", 4, 1, 0, 0) else 2)
+        sys.exit(1)
+    """)
+    src = str(Path(equialg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_join_is_least_upper_bound_against_exhaustive_poset():
     poset = enumerate_systems(C2, 4, "all")
     nodes = poset.nodes

@@ -19,7 +19,7 @@ from equialg.magmas import (CoefficientSystem, CpUnitalMagma, InterchangePair,
                             check_interchange, eckmann_hilton,
                             enumerate_interchanging_pairs,
                             enumerate_semi_mackey, evaluate_span_endo,
-                            is_homomorphism,
+                            is_homomorphism, nested_product,
                             pair_from_json, pair_homs, pair_of_semi_mackey,
                             pair_to_json, semi_mackey_check, semi_mackey_homs,
                             validate_magma)
@@ -121,6 +121,80 @@ def test_check_interchange_finds_grid_witness():
     rep = check_interchange(InterchangePair(a, b))
     assert not rep and rep.axiom == "binary-interchange-G"
     assert len(rep.witness) == 4
+
+
+def _binary_interchange(mul1, mul2, n):
+    return all(mul2[mul1[a][x]][mul1[y][z]] == mul1[mul2[a][y]][mul2[x][z]]
+               for a, x, y, z in product(range(n), repeat=4))
+
+
+def _grid_interchange(mul1, mul2, n, p):
+    """The p×p grid law `check_interchange` does not run: on every grid
+    over 0..n-1, the mul2 product of the mul1 row products equals the mul1
+    product of the mul2 column products."""
+    for grid in product(range(n), repeat=p * p):
+        rows = [grid[i * p:(i + 1) * p] for i in range(p)]
+        cols = [grid[i::p] for i in range(p)]
+        lhs = nested_product(mul2, [nested_product(mul1, r) for r in rows])
+        rhs = nested_product(mul1, [nested_product(mul2, c) for c in cols])
+        if lhs != rhs:
+            return False
+    return True
+
+
+def _assert_grid_law_is_implied(pairs, norm_axiom=False):
+    """On each pair: binary interchange implies the grid law at both
+    levels, so `check_interchange` agrees with `check_interchange` and the
+    grid law together.  Returns the number of distinct (mul1, mul2)
+    level-table pairs and how many of them pass binary interchange."""
+    p = pairs[0].base.p
+    binary, grid = {}, {}
+    for pair in pairs:
+        levels = [(pair.star.mul_e, pair.bullet.mul_e, pair.base.size_e),
+                  (pair.star.mul_g, pair.bullet.mul_g, pair.base.size_g)]
+        for mul1, mul2, n in levels:
+            if (mul1, mul2) not in binary:
+                binary[mul1, mul2] = _binary_interchange(mul1, mul2, n)
+                if binary[mul1, mul2]:
+                    grid[mul1, mul2] = _grid_interchange(mul1, mul2, n, p)
+                    assert grid[mul1, mul2], (mul1, mul2)
+        # a pair passing check_interchange has binary interchange at both
+        # levels, so its grid verdicts are known
+        ok = bool(check_interchange(pair, norm_axiom=norm_axiom))
+        assert ok == (ok and all(grid[m1, m2] for m1, m2, _ in levels))
+    return len(binary), len(grid)
+
+
+def test_binary_interchange_implies_grid_law_on_all_2_element_tables():
+    # all 16 tables on {0, 1}, unital or not, paired at level e over a
+    # trivial level G
+    base = CoefficientSystem(3, 2, [0, 1], 1, [0])
+    tables = [((a, b), (c, d)) for a, b, c, d in product(range(2), repeat=4)]
+    pairs = [InterchangePair(
+        CpUnitalMagma(base, mul1, 0, [[0]], 0, [0, 0], validate=False),
+        CpUnitalMagma(base, mul2, 0, [[0]], 0, [0, 0], validate=False))
+        for mul1 in tables for mul2 in tables]
+    # 256 pairs at level e plus the one trivial pair at level G
+    assert _assert_grid_law_is_implied(pairs) == (257, 91)
+
+
+@pytest.mark.parametrize("norm_axiom", [False, True])
+def test_binary_interchange_implies_grid_law_on_p3_sweep_pairs(
+        monkeypatch, norm_axiom):
+    """Every pair the p = 3 pair sweep sends to `check_interchange` at
+    (3,2), (2,3) and (3,3)."""
+    checked = []
+
+    def recording(pair, norm_axiom=False):
+        checked.append(pair)
+        return check_interchange(pair, norm_axiom=norm_axiom)
+
+    monkeypatch.setattr(equialg.magmas, "check_interchange", recording)
+    for box in [(3, 3, 2), (3, 2, 3), (3, 3, 3)]:
+        enumerate_interchanging_pairs(*box, norm_axiom=norm_axiom)
+    assert len(checked) == 514
+    # 84 distinct level-table pairs, 12 of them with binary interchange
+    assert _assert_grid_law_is_implied(checked, norm_axiom) == (84, 12)
 
 
 def test_check_interchange_couples_the_transfers():
