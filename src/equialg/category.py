@@ -111,26 +111,14 @@ def map_class_of(tables: LevelTables, f: GSetMap) -> tuple:
 
 def iso_classes(tables: LevelTables) -> set:
     """Classes of isomorphisms: all fibers are one-point sets."""
-    reps = sorted({tables.lat.class_rep(i) for i in range(tables.n_sids)})
-    out = set()
-
-    def rec(i, dst_left, acc):
-        out.add(tuple(sorted(acc)))
-        for j in range(i, len(reps)):
-            h = reps[j]
-            d = tables.group.order // tables.sub_order[h]
-            if d <= dst_left:
-                rec(j, dst_left - d, acc + [component(tables, h, tables.star(h))])
-
-    rec(0, tables.cutoff, [])
-    return out
+    ops = _ops_for(tables)
+    return {ops.classes[u] for u in ops.isos}
 
 
 def map_class_universe(tables: LevelTables, guard: int = 400_000) -> list:
     """All map classes within the cutoff, canonically ordered."""
-    reps = sorted({tables.lat.class_rep(i) for i in range(tables.n_sids)})
     comps = []
-    for h in reps:
+    for h in tables.lat.class_reps:
         for cid in range(len(tables.classes[h])):
             if tables.weyl_canonical(h, cid) == cid:
                 comps.append((h, cid))
@@ -298,11 +286,12 @@ class _Ops:
         self.by_cod = defaultdict(list)
         for i, c in enumerate(self.cod):
             self.by_cod[c].append(i)
-        self.isos = self.encode_all(sorted(iso_classes(tables)))
+        # isomorphisms: every fiber is the (Weyl-canonical) one-point set
+        self.isos = [u for u, mc in enumerate(self.classes)
+                     if all(cid == tables.star(h) for h, cid in mc)]
         # maps from the empty set onto one orbit, where that orbit fits
-        reps = sorted({tables.lat.class_rep(i) for i in range(tables.n_sids)})
         units = [self.id_of.get((component(tables, h, tables.empty(h)),))
-                 for h in reps]
+                 for h in tables.lat.class_reps]
         self.units = [u for u in units if u is not None]
         self._compose: dict = {}
         self._pullback: dict = {}
@@ -501,10 +490,10 @@ class WeakIndexingCategory:
     @classmethod
     def from_system(cls, sys: WeakIndexingSystem) -> "WeakIndexingCategory":
         t = sys.tables
-        reps = sorted({t.lat.class_rep(i) for i in range(t.n_sids)})
         adm = sys.admissible
         return cls(t, {(h, t.weyl_canonical(h, cid))
-                       for h in reps for cid in adm[h]}, validate=False)
+                       for h in t.lat.class_reps for cid in adm[h]},
+                   validate=False)
 
     @classmethod
     def from_map_classes(cls, tables: LevelTables, classes

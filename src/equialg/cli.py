@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .connectivity import (conn_join_bound, disk_conn_c2,
@@ -30,78 +29,66 @@ EXIT_GUARD = 2
 EXIT_THEOREM = 3
 
 
-@dataclass
-class RunConfig:
-    """Resolved options shared by the subcommands."""
-
-    group_spec: str = "cyclic:2"
-    cutoff: int | None = None
-    filter: str = "all"
-    output: str | None = None
-    format: str = "text"
-    norm_axiom: bool = False
-
-    def resolve_group(self) -> FiniteGroup:
-        spec = self.group_spec
-        if spec.startswith("cyclic:"):
-            try:
-                return cyclic_group(int(spec.split(":", 1)[1]))
-            except ValueError as exc:
-                raise ValidationError(f"bad cyclic order in {spec!r}") from exc
-        path = Path(spec)
-        if not path.is_file():
-            raise ValidationError(f"group spec {spec!r} is neither cyclic:n "
-                                  "nor a readable table file")
-        return FiniteGroup.from_json(path.read_text())
+def _group(spec: str) -> FiniteGroup:
+    if spec.startswith("cyclic:"):
+        try:
+            return cyclic_group(int(spec.split(":", 1)[1]))
+        except ValueError as exc:
+            raise ValidationError(f"bad cyclic order in {spec!r}") from exc
+    path = Path(spec)
+    if not path.is_file():
+        raise ValidationError(f"group spec {spec!r} is neither cyclic:n "
+                              "nor a readable table file")
+    return FiniteGroup.from_json(path.read_text())
 
 
-def _emit(cfg: RunConfig, text: str):
-    if cfg.output:
-        Path(cfg.output).write_text(text)
+def _emit(args, text: str):
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def cmd_enumerate(cfg: RunConfig, transfer_systems: bool = False) -> int:
-    group = cfg.resolve_group()
-    if transfer_systems:
+def cmd_enumerate(args) -> int:
+    group = _group(args.group)
+    if args.transfer_systems:
         poset = enumerate_transfer_systems(group)
         kind = "transfer systems"
     else:
-        poset = enumerate_systems(group, cfg.cutoff, cfg.filter)
-        kind = f"weak indexing systems ({cfg.filter})"
-    cutoff = cfg.cutoff or default_cutoff(group)
+        poset = enumerate_systems(group, args.cutoff, args.filter)
+        kind = f"weak indexing systems ({args.filter})"
+    cutoff = args.cutoff or default_cutoff(group)
     print(f"{group.name}: {len(poset)} {kind}"
-          + ("" if transfer_systems else f" at cutoff {cutoff}"))
-    if cfg.format == "dot":
-        _emit(cfg, poset.to_dot("nodes"))
-    elif cfg.format == "json":
-        _emit(cfg, poset.to_json())
-    elif cfg.output:
-        _emit(cfg, poset.to_json())
+          + ("" if args.transfer_systems else f" at cutoff {cutoff}"))
+    if args.format == "dot":
+        _emit(args, poset.to_dot("nodes"))
+    elif args.format == "json" or args.output:
+        _emit(args, poset.to_json())
     return EXIT_OK
 
 
-def cmd_eh_check(cfg: RunConfig, pair_file: str | None, sweep, p: int) -> int:
-    if pair_file is not None:
-        pair = pair_from_json(Path(pair_file).read_text(),
-                              norm_axiom=cfg.norm_axiom)
-        sm = eckmann_hilton(pair, norm_axiom=cfg.norm_axiom)
+def cmd_eh_check(args) -> int:
+    if args.pair is not None:
+        pair = pair_from_json(Path(args.pair).read_text(),
+                              norm_axiom=args.norm_axiom)
+        sm = eckmann_hilton(pair, norm_axiom=args.norm_axiom)
         print(f"PASS: pair of size ({pair.base.size_e},{pair.base.size_g}) "
               "lifts to a semi-Mackey functor")
-        if cfg.output:
-            _emit(cfg, json.dumps({"verdict": "PASS", "p": pair.base.p,
-                                   "t": list(sm.t)}, sort_keys=True))
+        if args.output:
+            _emit(args, json.dumps({"verdict": "PASS", "p": pair.base.p,
+                                    "t": list(sm.t)}, sort_keys=True))
         return EXIT_OK
-    max_e, max_g = sweep
+    if args.sweep is None:
+        raise ValidationError("eh-check needs --pair or --sweep")
+    (max_e, max_g), p = args.sweep, args.p
     pairs = enumerate_interchanging_pairs(p, max_e, max_g,
-                                          norm_axiom=cfg.norm_axiom)
+                                          norm_axiom=args.norm_axiom)
     for pair in pairs:
-        eckmann_hilton(pair, norm_axiom=cfg.norm_axiom)
+        eckmann_hilton(pair, norm_axiom=args.norm_axiom)
     sms = enumerate_semi_mackey(p, max_e, max_g)
     pair_keys = sorted(canonical_pair_key(q) for q in pairs)
     sm_keys = sorted(canonical_pair_key(pair_of_semi_mackey(s)) for s in sms)
-    bijection = pair_keys == sm_keys if cfg.norm_axiom else \
+    bijection = pair_keys == sm_keys if args.norm_axiom else \
         set(pair_keys) <= set(sm_keys)
     print(f"sweep p={p} bounds ({max_e},{max_g}): {len(pairs)} interchanging "
           f"pairs, {len(sms)} semi-Mackey functors, 0 violations")
@@ -109,9 +96,9 @@ def cmd_eh_check(cfg: RunConfig, pair_file: str | None, sweep, p: int) -> int:
           f"{'bijective' if pair_keys == sm_keys else 'pairs embed'}")
     if not bijection:
         raise TheoremViolation("sweep does not embed into semi-Mackey functors")
-    if cfg.output:
-        _emit(cfg, json.dumps({"pairs": len(pairs), "semi_mackey": len(sms),
-                               "violations": 0}, sort_keys=True))
+    if args.output:
+        _emit(args, json.dumps({"pairs": len(pairs), "semi_mackey": len(sms),
+                                "violations": 0}, sort_keys=True))
     return EXIT_OK
 
 
@@ -128,25 +115,24 @@ def _resolve_node(poset, labels, spec: str):
     return matches[0]
 
 
-def cmd_conn(cfg: RunConfig, all_pairs: bool, ev, ev_set: str | None,
-             level: str, ev_witness, nodes=None) -> int:
-    if ev_witness is not None:
-        rep = non_additivity_witness(*ev_witness)
+def cmd_conn(args) -> int:
+    if args.ev_witness is not None:
+        rep = non_additivity_witness(*args.ev_witness)
         print(f"lhs bound {rep['lhs_bound']} < rhs {rep['rhs']}: "
               f"{rep['strict']}  [{rep['provenance']}]")
-        if cfg.output:
-            _emit(cfg, json.dumps({k: str(v) for k, v in rep.items()},
+        if args.output:
+            _emit(args, json.dumps({k: str(v) for k, v in rep.items()},
                                   sort_keys=True))
         return EXIT_OK
-    if ev is not None:
-        a, b = ev
-        if ev_set is None:
+    if args.ev is not None:
+        a, b = args.ev
+        if args.ev_set is None:
             raise ValidationError("--ev needs --set")
         try:
-            parts = [int(x) for x in ev_set.split(",")]
+            parts = [int(x) for x in args.ev_set.split(",")]
         except ValueError as exc:
-            raise ValidationError(f"--set needs integers: {ev_set!r}") from exc
-        if level == "e":
+            raise ValidationError(f"--set needs integers: {args.ev_set!r}") from exc
+        if args.level == "e":
             if len(parts) != 1:
                 raise ValidationError("level e arity is a single count")
             arity = ("e", parts[0])
@@ -156,26 +142,26 @@ def cmd_conn(cfg: RunConfig, all_pairs: bool, ev, ev_set: str | None,
             arity = ("G", parts[0], parts[1])
         value = disk_conn_c2(a, b, arity)
         print(f"conn({a}+{b}s at {arity}) = {value}")
-        if cfg.output:
-            _emit(cfg, json.dumps({"value": str(value)}, sort_keys=True))
+        if args.output:
+            _emit(args, json.dumps({"value": str(value)}, sort_keys=True))
         return EXIT_OK
-    if not all_pairs and nodes is None:
+    if not args.all_pairs and args.nodes is None:
         raise ValidationError(
             "conn needs --all-pairs, --nodes, --ev, or --ev-witness")
-    group = cfg.resolve_group()
-    poset = enumerate_systems(group, cfg.cutoff, "almost_unital")
+    group = _group(args.group)
+    poset = enumerate_systems(group, args.cutoff, "almost_unital")
     labels = poset.labels()
-    if nodes is not None:
-        i_node = poset.nodes[_resolve_node(poset, labels, nodes[0])]
-        j_node = poset.nodes[_resolve_node(poset, labels, nodes[1])]
+    if args.nodes is not None:
+        i_node = poset.nodes[_resolve_node(poset, labels, args.nodes[0])]
+        j_node = poset.nodes[_resolve_node(poset, labels, args.nodes[1])]
         rep = conn_join_bound(i_node, j_node, poset)
         print(f"{group.name}: join bound "
               f"{'holds' if rep.holds else 'FAILS'}; "
               f"{len(rep.strict_witnesses)} strict witnesses")
         table = {lab: {"lhs": str(rep.lhs[k]), "rhs": str(rep.rhs[k])}
                  for k, lab in enumerate(labels)}
-        if cfg.output:
-            _emit(cfg, json.dumps(table, sort_keys=True,
+        if args.output:
+            _emit(args, json.dumps(table, sort_keys=True,
                                   separators=(",", ":")))
         if not rep.holds:
             raise TheoremViolation("join bound failed")
@@ -199,8 +185,8 @@ def cmd_conn(cfg: RunConfig, all_pairs: bool, ev, ev_set: str | None,
           f"{failures} failures")
     for line in lines[:20]:
         print(line)
-    if cfg.output:
-        _emit(cfg, json.dumps(table, sort_keys=True, separators=(",", ":")))
+    if args.output:
+        _emit(args, json.dumps(table, sort_keys=True, separators=(",", ":")))
     if failures:
         raise TheoremViolation(f"join bound failed on {failures} pairs")
     return EXIT_OK
@@ -213,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Eckmann-Hilton checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    shared = {"--group": dict(dest="group_spec", default="cyclic:2",
+    shared = {"--group": dict(metavar="GROUP_SPEC", default="cyclic:2",
                               help="cyclic:n or a path to a group JSON table"),
               "--cutoff": dict(type=int, default=None),
               "--output": dict(default=None),
@@ -258,19 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    commands = {"enumerate": cmd_enumerate, "eh-check": cmd_eh_check,
+                "conn": cmd_conn}
     try:
-        names = {f.name for f in fields(RunConfig)}
-        cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in names})
-        if args.command == "enumerate":
-            code = cmd_enumerate(cfg, transfer_systems=args.transfer_systems)
-        elif args.command == "eh-check":
-            if args.pair is None and args.sweep is None:
-                raise ValidationError("eh-check needs --pair or --sweep")
-            code = cmd_eh_check(cfg, args.pair, args.sweep, args.p)
-        else:
-            code = cmd_conn(cfg, args.all_pairs, args.ev, args.ev_set,
-                            args.level, args.ev_witness, nodes=args.nodes)
-        return code
+        return commands[args.command](args)
     except TheoremViolation as exc:
         print(f"THEOREM VIOLATION: {exc}", file=sys.stderr)
         return EXIT_THEOREM

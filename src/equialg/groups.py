@@ -207,23 +207,10 @@ class Subgroup:
 
 
 def generated_subgroup(g: FiniteGroup, gens) -> frozenset:
-    """Member set of the subgroup generated by `gens`."""
-    members = {g.identity}
-    frontier = set(gens) | {g.identity}
-    while frontier:
-        new = set()
-        for a in frontier:
-            members.add(a)
-        for a in members:
-            for b in members:
-                c = g.mul(a, b)
-                if c not in members:
-                    new.add(c)
-        for a in list(members):
-            c = g.inv_table[a]
-            if c not in members:
-                new.add(c)
-        frontier = new - members
+    """Member set of the subgroup generated by `gens`: its closure under
+    products, which holds a^-1 = a^(k-1) for the order k of each a."""
+    members = set(gens) | {g.identity}
+    while new := {g.mul(a, b) for a in members for b in members} - members:
         members |= new
     return frozenset(members)
 
@@ -280,6 +267,8 @@ class SubgroupLattice:
                 seen[j] = True
             classes.append(tuple(orbit))
         self.conj_classes = tuple(classes)
+        # each class is listed from its least member, so these ascend
+        self.class_reps = tuple(c[0] for c in self.conj_classes)
         self.class_of = {}
         for c, orbit in enumerate(self.conj_classes):
             for i in orbit:
@@ -298,7 +287,7 @@ class SubgroupLattice:
 
     def class_rep(self, i: int) -> int:
         """Canonical (minimal-index) subgroup in the conjugacy class of node i."""
-        return self.conj_classes[self.class_of[i]][0]
+        return self.class_reps[self.class_of[i]]
 
     def is_chain(self) -> bool:
         return all(self.leq[i][j] or self.leq[j][i]

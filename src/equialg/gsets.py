@@ -3,15 +3,28 @@ induction / restriction / coinduction, fixed points, double cosets, spans.
 
 G-sets are points 0..n-1 with an explicit action table; isomorphism is
 decided by the multiset of stabilizer conjugacy classes, which classifies
-finite G-sets.  All operations are pure; values are immutable.
+finite G-sets.  All operations are pure; values are immutable.  Every
+coset list comes from one routine, `_cosets`.
 """
 from __future__ import annotations
 
 import json
 from itertools import product
 
-from .errors import GuardExceededError, ValidationError, require_ints
+from .errors import (GuardExceededError, TheoremViolation, ValidationError,
+                     require_ints)
 from .groups import FiniteGroup, Subgroup, subgroup_lattice
+
+COINDUCE_GUARD = 100_000  # points a coinduction may materialize
+
+
+def _cosets(group: FiniteGroup, members, right: bool = False):
+    """The left cosets gH (right cosets Hg if `right`) of the subgroup H
+    with the given members, each a sorted tuple, in sorted order, and the
+    map from each element to the index of its coset."""
+    cosets = sorted({tuple(sorted(group.mul(a, g) if right else group.mul(g, a)
+                                  for a in members)) for g in group.elements})
+    return cosets, {x: i for i, c in enumerate(cosets) for x in c}
 
 
 class GSet:
@@ -74,11 +87,9 @@ class GSet:
         """The orbit G/H on left cosets of H, sorted lexicographically."""
         if stab.parent != group:
             raise ValidationError("stabilizer is not a subgroup of the group")
-        cosets = sorted({tuple(sorted(group.mul(g, h) for h in stab.members))
-                         for g in group.elements})
-        index = {c: i for i, c in enumerate(cosets)}
-        act = [[index[tuple(sorted(group.mul(g, a) for a in coset))]
-                for coset in cosets] for g in group.elements]
+        cosets, coset_of = _cosets(group, stab.members)
+        act = [[coset_of[group.mul(g, c[0])] for c in cosets]
+               for g in group.elements]
         return cls(group, act, validate=False)
 
     @classmethod
@@ -230,15 +241,8 @@ def orbit_projection(group: FiniteGroup, k: Subgroup, h: Subgroup) -> GSetMap:
         raise ValidationError("orbit projection needs K <= H")
     src = GSet.orbit(group, k)
     dst = GSet.orbit(group, h)
-    k_cosets = sorted({tuple(sorted(group.mul(g, a) for a in k.members))
-                       for g in group.elements})
-    h_cosets = sorted({tuple(sorted(group.mul(g, a) for a in h.members))
-                       for g in group.elements})
-    h_index = {c: i for i, c in enumerate(h_cosets)}
-    on = []
-    for coset in k_cosets:
-        g = coset[0]
-        on.append(h_index[tuple(sorted(group.mul(g, a) for a in h.members))])
+    _, h_coset_of = _cosets(group, h.members)
+    on = [h_coset_of[c[0]] for c in _cosets(group, k.members)[0]]
     return GSetMap(src, dst, on, validate=False)
 
 
@@ -274,13 +278,8 @@ def induce(h: Subgroup, s: GSet) -> GSet:
     group = h.parent
     if s.group != h.as_group():
         raise ValidationError("induce expects a set over h.as_group()")
-    cosets = sorted({tuple(sorted(group.mul(g, a) for a in h.members))
-                     for g in group.elements})
+    cosets, coset_of = _cosets(group, h.members)
     reps = [c[0] for c in cosets]
-    coset_of = {}
-    for i, c in enumerate(cosets):
-        for a in c:
-            coset_of[a] = i
     pts = [(i, x) for i in range(len(cosets)) for x in s.points]
     index = {p: k for k, p in enumerate(pts)}
     act = []
@@ -290,7 +289,9 @@ def induce(h: Subgroup, s: GSet) -> GSet:
             gi = group.mul(g, reps[i])
             j = coset_of[gi]
             hh = group.mul(group.inv_table[reps[j]], gi)
-            assert hh in h.members
+            if hh not in h.members:
+                raise TheoremViolation("coset transporter is not in H",
+                                       (group.name, g, i))
             row.append(index[(j, s.act[h.to_local(hh)][x])])
         act.append(row)
     return GSet(group, act, validate=False)
@@ -304,26 +305,21 @@ def restrict(h: Subgroup, s: GSet) -> GSet:
     return GSet(h.as_group(), act, validate=False)
 
 
-def coinduce(h: Subgroup, s: GSet, max_points: int = 100_000) -> GSet:
+def coinduce(h: Subgroup, s: GSet) -> GSet:
     """Map_H(G, s) for an H-set s over h.as_group(); |result| = |s|^[G:H].
 
     The full mapping set is materialized (no orbit pruning), so the size
-    guard `max_points` protects against exponential blowup.
+    guard `COINDUCE_GUARD` protects against exponential blowup.
     """
     group = h.parent
     if s.group != h.as_group():
         raise ValidationError("coinduce expects a set over h.as_group()")
-    cosets = sorted({tuple(sorted(group.mul(a, g) for a in h.members))
-                     for g in group.elements})  # right cosets Hg
+    cosets, coset_of = _cosets(group, h.members, right=True)  # cosets Hg
     reps = [c[0] for c in cosets]
-    coset_of = {}
-    for i, c in enumerate(cosets):
-        for a in c:
-            coset_of[a] = i
     k = len(cosets)
-    if s.size ** k > max_points:
-        raise GuardExceededError(
-            f"coinduction would need {s.size ** k} points (guard {max_points})")
+    if s.size ** k > COINDUCE_GUARD:
+        raise GuardExceededError(f"coinduction would need {s.size ** k} "
+                                 f"points (guard {COINDUCE_GUARD})")
     pts = list(product(s.points, repeat=k))
     index = {p: i for i, p in enumerate(pts)}
     act = []
@@ -334,7 +330,9 @@ def coinduce(h: Subgroup, s: GSet, max_points: int = 100_000) -> GSet:
             rig = group.mul(reps[i], g)
             j = coset_of[rig]
             hh = group.mul(rig, group.inv_table[reps[j]])
-            assert hh in h.members
+            if hh not in h.members:
+                raise TheoremViolation("coset transporter is not in H",
+                                       (group.name, g, i))
             moves.append((j, h.to_local(hh)))
         row = [index[tuple(s.act[hl][f[j]] for (j, hl) in moves)] for f in pts]
         act.append(row)
@@ -365,12 +363,11 @@ def distinguished_fixed_point(u: Subgroup, v: Subgroup):
     vg = v.as_group()
     u_in_v = u.relative_to(v)
     orb = GSet.orbit(vg, u_in_v)  # v/u with points = sorted cosets
-    cosets = sorted({tuple(sorted(vg.mul(g, a) for a in u_in_v.members))
-                     for g in vg.elements})
-    pt = cosets.index(tuple(sorted(u_in_v.members)))
-    res = restrict(u_in_v, orb)
-    assert all(orb.act[m][pt] == pt for m in u_in_v.members)
-    return res, pt
+    pt = _cosets(vg, u_in_v.members)[1][vg.identity]
+    for m in u_in_v.members:
+        if orb.act[m][pt] != pt:
+            raise TheoremViolation("u moves its own coset", (vg.name, m, pt))
+    return restrict(u_in_v, orb), pt
 
 
 def equivariant_maps(s: GSet, t: GSet):

@@ -222,7 +222,6 @@ class LevelTables:
         closing under it closes under all indexed coproducts that fit.
         """
         cls = list(self.classes[hi][cid_s])
-        assert ki in cls
         cls.remove(ki)
         ind = self.classes[ki][cid_t]
         cls.extend(self.h_class_rep[hi][m] for m in ind)

@@ -19,11 +19,12 @@ The two exhaustive sweeps, of interchanging pairs and of semi-Mackey
 functors, draw their candidates from one generator, `_candidates`, which
 also holds their one guard: a non-prime p is a `ValidationError`, and p > 3
 or a carrier larger than `SWEEP_GUARD` is a `GuardExceededError`.  It
-prunes on the four axioms both full checks share and, where the action is
-trivial, on r(t(x)) = x^p, which both readings and the double coset law
-demand there; the pair sweep checks interchange only between magmas with
-transposed tables.  Both sweeps return what generate-and-test returns, in
-the same order (see `_candidates` and `enumerate_interchanging_pairs`).
+prunes on the four non-unit axioms of `_structure_report`, which both full
+checks share, and, where the action is trivial, on r(t(x)) = x^p, which
+both readings and the double coset law demand there; the pair sweep checks
+interchange only between magmas with transposed tables.  Both sweeps
+return what generate-and-test returns, in the same order (see
+`_candidates` and `enumerate_interchanging_pairs`).
 """
 from __future__ import annotations
 
@@ -161,6 +162,35 @@ class CpUnitalMagma(_TwoLevelStructure):
                 raise ValidationError(f"not a C_p-unital magma: {rep}")
 
 
+def _structure_report(s: _TwoLevelStructure):
+    """The axioms both full checks share: the action, r and t are unital
+    and multiplicative, and t is equivariant.  The first failure, or None."""
+    b = s.base
+    ne, ng = b.size_e, b.size_g
+    if b.sigma[s.unit_e] != s.unit_e:
+        return CheckReport(False, "action-unital", (s.unit_e,))
+    for x in range(ne):
+        for y in range(ne):
+            if b.sigma[s.mul_e[x][y]] != s.mul_e[b.sigma[x]][b.sigma[y]]:
+                return CheckReport(False, "action-multiplicative", (x, y))
+    if b.r[s.unit_g] != s.unit_e:
+        return CheckReport(False, "r-unital", ())
+    for x in range(ng):
+        for y in range(ng):
+            if b.r[s.mul_g[x][y]] != s.mul_e[b.r[x]][b.r[y]]:
+                return CheckReport(False, "r-multiplicative", (x, y))
+    if s.t[s.unit_e] != s.unit_g:
+        return CheckReport(False, "t-unital", ())
+    for x in range(ne):
+        for y in range(ne):
+            if s.t[s.mul_e[x][y]] != s.mul_g[s.t[x]][s.t[y]]:
+                return CheckReport(False, "t-multiplicative", (x, y))
+    for x in range(ne):
+        if s.t[b.sigma[x]] != s.t[x]:
+            return CheckReport(False, "t-equivariant", (x,))
+    return None
+
+
 def validate_magma(m: CpUnitalMagma, norm_axiom: bool = False) -> CheckReport:
     """Exhaustive axiom check; reports the first violated axiom and witness."""
     b = m.base
@@ -171,27 +201,9 @@ def validate_magma(m: CpUnitalMagma, norm_axiom: bool = False) -> CheckReport:
     for x in range(ng):
         if m.mul_g[m.unit_g][x] != x or m.mul_g[x][m.unit_g] != x:
             return CheckReport(False, "unit-G", (x,))
-    if b.sigma[m.unit_e] != m.unit_e:
-        return CheckReport(False, "action-unital", (m.unit_e,))
-    for x in range(ne):
-        for y in range(ne):
-            if b.sigma[m.mul_e[x][y]] != m.mul_e[b.sigma[x]][b.sigma[y]]:
-                return CheckReport(False, "action-multiplicative", (x, y))
-    if b.r[m.unit_g] != m.unit_e:
-        return CheckReport(False, "r-unital", ())
-    for x in range(ng):
-        for y in range(ng):
-            if b.r[m.mul_g[x][y]] != m.mul_e[b.r[x]][b.r[y]]:
-                return CheckReport(False, "r-multiplicative", (x, y))
-    if m.t[m.unit_e] != m.unit_g:
-        return CheckReport(False, "t-unital", ())
-    for x in range(ne):
-        for y in range(ne):
-            if m.t[m.mul_e[x][y]] != m.mul_g[m.t[x]][m.t[y]]:
-                return CheckReport(False, "t-multiplicative", (x, y))
-    for x in range(ne):
-        if m.t[b.sigma[x]] != m.t[x]:
-            return CheckReport(False, "t-equivariant", (x,))
+    rep = _structure_report(m)
+    if rep is not None:
+        return rep
     for x in range(ne):
         expect = m.norm(x) if norm_axiom else m.pow_p(x)
         if b.r[m.t[x]] != expect:
@@ -388,22 +400,9 @@ def semi_mackey_check(sm: SemiMackeyFunctor) -> CheckReport:
             for z in range(n):
                 if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
                     return CheckReport(False, f"associativity-{level}", (x, y, z))
-    if base.sigma[sm.unit_e] != sm.unit_e:
-        return CheckReport(False, "action-unital", ())
-    for x, y in product(range(ne), repeat=2):
-        if base.sigma[sm.mul_e[x][y]] != sm.mul_e[base.sigma[x]][base.sigma[y]]:
-            return CheckReport(False, "action-multiplicative", (x, y))
-    if base.r[sm.unit_g] != sm.unit_e or sm.t[sm.unit_e] != sm.unit_g:
-        return CheckReport(False, "units-preserved", ())
-    for x, y in product(range(ng), repeat=2):
-        if base.r[sm.mul_g[x][y]] != sm.mul_e[base.r[x]][base.r[y]]:
-            return CheckReport(False, "r-multiplicative", (x, y))
-    for x, y in product(range(ne), repeat=2):
-        if sm.t[sm.mul_e[x][y]] != sm.mul_g[sm.t[x]][sm.t[y]]:
-            return CheckReport(False, "t-multiplicative", (x, y))
-    for x in range(ne):
-        if sm.t[base.sigma[x]] != sm.t[x]:
-            return CheckReport(False, "t-equivariant", (x,))
+    rep = _structure_report(sm)
+    if rep is not None:
+        return rep
     for x in range(ne):
         if base.r[sm.t[x]] != sm.norm(x):
             return CheckReport(False, "double-coset-law",
@@ -503,17 +502,17 @@ def _candidates(p, max_e, max_g):
     sizes up to the bounds, 0 the unit at both levels, r(0) = t(0) = 0.
     Holds the sweeps' one guard.
 
-    The four axioms that `validate_magma` and `semi_mackey_check` share are
-    tested where their tables are first fixed: action-multiplicativity on
-    mul_e; r-multiplicativity, which narrows each cell of mul_g to an
-    r-preimage, while mul_g is built; t-equivariance and
-    t-multiplicativity on t.  Where sigma is trivial, the orbit of x is p
-    copies of x, so norm(x) is the p-fold power of x: both readings of
-    `validate_magma` and the double coset law of `semi_mackey_check` demand
-    r(t(x)) = x^p, which narrows the transfers once per mul_e, and a mul_e
-    left with none is skipped before any mul_g is built.  What is dropped
-    fails every full check, which still decide, so the survivors and their
-    order are those of the full product."""
+    The four non-unit axioms of `_structure_report`, which `validate_magma`
+    and `semi_mackey_check` share, are tested where their tables are first
+    fixed: action-multiplicativity on mul_e; r-multiplicativity, which
+    narrows each cell of mul_g to an r-preimage, while mul_g is built;
+    t-equivariance and t-multiplicativity on t.  Where sigma is trivial,
+    the orbit of x is p copies of x, so norm(x) is the p-fold power of x:
+    both readings of `validate_magma` and the double coset law of
+    `semi_mackey_check` demand r(t(x)) = x^p, which narrows the transfers
+    once per mul_e, and a mul_e left with none is skipped before any mul_g
+    is built.  What is dropped fails every full check, which still decide,
+    so the survivors and their order are those of the full product."""
     if not _is_prime(p):
         raise ValidationError("p must be prime")
     if p > 3 or max_e > SWEEP_GUARD or max_g > SWEEP_GUARD:

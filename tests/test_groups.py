@@ -6,6 +6,7 @@ import pytest
 
 from equialg import (FiniteGroup, Subgroup, ValidationError, cyclic_group,
                      direct_product, subgroup_lattice, subgroups)
+from equialg.groups import generated_subgroup
 
 
 def brute_force_subgroups(g):
@@ -105,6 +106,46 @@ def test_abelian_conjugacy_classes_are_singletons():
               direct_product(cyclic_group(2), cyclic_group(2))]:
         lat = subgroup_lattice(g)
         assert all(len(c) == 1 for c in lat.conj_classes)
+
+
+def test_class_reps_are_the_least_member_of_each_class():
+    for g in [cyclic_group(6), FiniteGroup(s3_table(), name="S3"),
+              direct_product(cyclic_group(2), cyclic_group(2))]:
+        lat = subgroup_lattice(g)
+        assert lat.class_reps == tuple(
+            sorted({lat.class_rep(i) for i in range(len(lat))}))
+        assert all(lat.class_reps[lat.class_of[i]] == min(c)
+                   for c in lat.conj_classes for i in c)
+
+
+def reference_generated_subgroup(g, gens):
+    """Closure under products and inverses, both of a subgroup's
+    operations."""
+    members = set(gens) | {g.identity}
+    while True:
+        new = {g.mul(a, b) for a in members for b in members}
+        new |= {g.inv_table[a] for a in members}
+        if new <= members:
+            return frozenset(members)
+        members |= new
+
+
+@pytest.mark.parametrize("g", [
+    cyclic_group(1), cyclic_group(8), cyclic_group(12),
+    FiniteGroup(s3_table(), name="S3"),
+    direct_product(cyclic_group(2), cyclic_group(2)),
+    direct_product(cyclic_group(4), cyclic_group(2)),
+    direct_product(FiniteGroup(s3_table(), name="S3"), cyclic_group(2))],
+    ids=["C1", "C8", "C12", "S3", "C2xC2", "C4xC2", "S3xC2"])
+def test_generated_subgroup_matches_closure_with_inverses(g):
+    """Closing under products alone gives the inverses too, in a finite
+    group: every element pair generates the same subgroup as with an
+    explicit inverse closure."""
+    assert generated_subgroup(g, []) == frozenset({g.identity})
+    for a in g.elements:
+        for b in g.elements:
+            assert generated_subgroup(g, [a, b]) == \
+                reference_generated_subgroup(g, [a, b])
 
 
 def test_s3_conjugacy_and_lattice_automorphism():

@@ -1,11 +1,19 @@
 """G-set calculus: orbits, adjunctions, pullbacks, double cosets, spans."""
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from equialg import Subgroup, ValidationError, cyclic_group, subgroups
-from equialg.errors import GuardExceededError
+import equialg
+from equialg import (FiniteGroup, Subgroup, ValidationError, cyclic_group,
+                     direct_product, subgroups)
+from equialg import gsets
+from equialg.errors import GuardExceededError, TheoremViolation
 from equialg.gsets import (GSet, GSetMap, Span, coinduce, compose_spans,
                            distinguished_fixed_point, double_cosets,
                            equivariant_maps, fixed_points, from_orbit_types,
@@ -118,7 +126,7 @@ def test_coinduce_guard():
     e = sub(C4, {0})
     s = GSet.trivial(e.as_group(), 20)
     with pytest.raises(GuardExceededError):
-        coinduce(e, s, max_points=1000)
+        coinduce(e, s)
 
 
 def test_pullback_along_identity():
@@ -269,7 +277,7 @@ def test_res_coind_double_coset_decomposition():
             for h in subgroups(group):
                 for s in all_gsets_up_to(h.as_group(), 3):
                     try:
-                        lhs = restrict(k, coinduce(h, s, max_points=5000))
+                        lhs = restrict(k, coinduce(h, s))
                     except GuardExceededError:
                         continue
                     rhs = GSet.trivial(k.as_group(), 1)
@@ -286,7 +294,7 @@ def test_res_coind_double_coset_decomposition():
                             b = group.mul(group.mul(group.inv_table[g], a), g)
                             act.append(s.act[h.to_local(b)])
                         twisted = GSet(lg, act)
-                        piece = coinduce(l_in_k, twisted, max_points=5000)
+                        piece = coinduce(l_in_k, twisted)
                         if first:
                             rhs, first = piece, False
                         else:
@@ -333,3 +341,156 @@ def test_span_json_rejects_non_integral_legs(leg, value):
     data[leg] = value
     with pytest.raises(ValidationError):
         Span.from_json(json.dumps(data), C2)
+
+
+# -- the one coset routine against the constructions it replaced ------------
+
+def s3_group():
+    """Symmetric group on 3 letters, where left and right cosets differ."""
+    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
+    return FiniteGroup([[perms.index(tuple(p[q[i]] for i in range(3)))
+                         for q in perms] for p in perms], name="S3")
+
+
+def ref_cosets(group, members):
+    """Left cosets gH as sorted tuples, in sorted order."""
+    return sorted({tuple(sorted(group.mul(g, a) for a in members))
+                   for g in group.elements})
+
+
+def ref_orbit_act(group, h):
+    cosets = ref_cosets(group, h.members)
+    index = {c: i for i, c in enumerate(cosets)}
+    return tuple(tuple(index[tuple(sorted(group.mul(g, a) for a in coset))]
+                       for coset in cosets) for g in group.elements)
+
+
+def ref_projection(group, k, h):
+    h_index = {c: i for i, c in enumerate(ref_cosets(group, h.members))}
+    return tuple(h_index[tuple(sorted(group.mul(coset[0], a)
+                                      for a in h.members))]
+                 for coset in ref_cosets(group, k.members))
+
+
+def ref_induce_act(h, s):
+    group = h.parent
+    cosets = ref_cosets(group, h.members)
+    reps = [c[0] for c in cosets]
+    coset_of = {a: i for i, c in enumerate(cosets) for a in c}
+    pts = [(i, x) for i in range(len(cosets)) for x in s.points]
+    index = {p: k for k, p in enumerate(pts)}
+    act = []
+    for g in group.elements:
+        row = []
+        for (i, x) in pts:
+            gi = group.mul(g, reps[i])
+            j = coset_of[gi]
+            hh = group.mul(group.inv_table[reps[j]], gi)
+            row.append(index[(j, s.act[h.to_local(hh)][x])])
+        act.append(tuple(row))
+    return tuple(act)
+
+
+def ref_coinduce_act(h, s):
+    group = h.parent
+    cosets = sorted({tuple(sorted(group.mul(a, g) for a in h.members))
+                     for g in group.elements})  # right cosets Hg
+    reps = [c[0] for c in cosets]
+    coset_of = {a: i for i, c in enumerate(cosets) for a in c}
+    pts = list(product(s.points, repeat=len(cosets)))
+    index = {p: i for i, p in enumerate(pts)}
+    act = []
+    for g in group.elements:
+        moves = []
+        for i in range(len(cosets)):
+            rig = group.mul(reps[i], g)
+            j = coset_of[rig]
+            hh = group.mul(rig, group.inv_table[reps[j]])
+            moves.append((j, h.to_local(hh)))
+        act.append(tuple(index[tuple(s.act[hl][f[j]] for (j, hl) in moves)]
+                         for f in pts))
+    return tuple(act)
+
+
+def ref_distinguished_point(u, v):
+    u_in_v = u.relative_to(v)
+    return ref_cosets(v.as_group(), u_in_v.members).index(
+        tuple(sorted(u_in_v.members)))
+
+
+@pytest.mark.parametrize("group", [
+    C4, cyclic_group(6), direct_product(C2, C2), s3_group()],
+    ids=["C4", "C6", "C2xC2", "S3"])
+def test_coset_routines_match_the_sort_the_cosets_reference(group):
+    """Orbits, projections, induction, coinduction and the distinguished
+    fixed point, all read off `_cosets`, equal the constructions that sort
+    the cosets themselves, on every subgroup (pair)."""
+    subs = subgroups(group)
+    for h in subs:
+        assert GSet.orbit(group, h).act == ref_orbit_act(group, h)
+        hg = h.as_group()
+        for s in [GSet.orbit(hg, k) for k in subgroups(hg)] + \
+                [GSet.trivial(hg, 2)]:
+            assert induce(h, s).act == ref_induce_act(h, s)
+            assert coinduce(h, s).act == ref_coinduce_act(h, s)
+        for k in subs:
+            if k.members <= h.members:
+                assert orbit_projection(group, k, h).on_points == \
+                    ref_projection(group, k, h)
+                assert distinguished_fixed_point(k, h)[1] == \
+                    ref_distinguished_point(k, h)
+
+
+def misplacing(element, to):
+    """`_cosets` with `element` sent to coset `to`."""
+    cosets = gsets._cosets
+
+    def wrong(group, members, right=False):
+        out, coset_of = cosets(group, members, right)
+        return out, {**coset_of, element: to}
+
+    return wrong
+
+
+def test_coset_transport_check_survives_optimized_mode():
+    """Under `python -O` induction still raises when an element is sent to
+    the wrong coset: the transporter it computes is not in H."""
+    script = textwrap.dedent("""
+        import sys
+        from equialg import Subgroup, TheoremViolation, cyclic_group
+        from equialg import gsets
+        c4 = cyclic_group(4)
+        h = Subgroup(c4, {0, 2})
+        cosets = gsets._cosets
+
+        def wrong(group, members, right=False):
+            out, coset_of = cosets(group, members, right)
+            return out, {**coset_of, 1: 0}
+
+        gsets._cosets = wrong
+        try:
+            gsets.induce(h, gsets.GSet.trivial(h.as_group()))
+        except TheoremViolation as exc:
+            sys.exit(0 if exc.witness == ("C4", 0, 1) else 2)
+        sys.exit(1)
+    """)
+    src = str(Path(equialg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_coinduce_and_distinguished_point_raise_on_a_wrong_coset(monkeypatch):
+    h = sub(C4, {0, 2})
+    monkeypatch.setattr(gsets, "_cosets", misplacing(1, 0))
+    with pytest.raises(TheoremViolation) as exc:
+        coinduce(h, GSet.trivial(h.as_group()))
+    assert exc.value.witness == ("C4", 0, 1)
+    # {e, (0 1)} in S3 fixes only its own coset of three, so a point read
+    # off the wrong coset is moved
+    s3 = s3_group()
+    monkeypatch.setattr(gsets, "_cosets", misplacing(s3.identity, 1))
+    with pytest.raises(TheoremViolation) as exc:
+        distinguished_fixed_point(sub(s3, {0, 3}), sub(s3, s3.elements))
+    assert exc.value.witness[0].startswith("S3") and exc.value.witness[2] == 1

@@ -15,7 +15,7 @@ import equialg
 from equialg import (GuardExceededError, ValidationError, cyclic_group,
                      direct_product, trivial_group)
 from equialg.category import (WeakIndexingCategory, _ops_for, _transports,
-                              close_category, enumerate_categories,
+                              close_category, component, enumerate_categories,
                               generate_category, i_complete, i_trivial,
                               is_weak_indexing_category, iso_classes,
                               map_class_of, map_class_universe)
@@ -153,6 +153,39 @@ def test_isos_plus_fold_fails_with_pullback_witness():
     assert not rep and rep.axiom == "pullback"
     f, g, missing = rep.witness
     assert f == map_class_of(t, fold_map(C2))
+
+
+def recursive_iso_classes(tables):
+    """Every multiset of one-point-fiber components whose codomain fits
+    the cutoff, enumerated recursively: how the isomorphism classes were
+    listed before they were read off the universe."""
+    reps = sorted({tables.lat.class_rep(i) for i in range(tables.n_sids)})
+    out = set()
+
+    def rec(i, dst_left, acc):
+        out.add(tuple(sorted(acc)))
+        for j in range(i, len(reps)):
+            h = reps[j]
+            d = tables.group.order // tables.sub_order[h]
+            if d <= dst_left:
+                rec(j, dst_left - d,
+                    acc + [component(tables, h, tables.star(h))])
+
+    rec(0, tables.cutoff, [])
+    return out
+
+
+@pytest.mark.parametrize("group, cutoff", [
+    (C2, 4), (C2, 5), (C2, 6), (cyclic_group(3), 3), (cyclic_group(3), 6),
+    (C4, 4), (C4, 8), (s3_group(), 6), (direct_product(C2, C2), 4)],
+    ids=["C2@4", "C2@5", "C2@6", "C3@3", "C3@6", "C4@4", "C4@8", "S3@6",
+         "C2xC2@4"])
+def test_iso_classes_read_off_the_universe_match_the_recursion(group, cutoff):
+    t = level_tables(group, cutoff)
+    reference = recursive_iso_classes(t)
+    assert iso_classes(t) == reference
+    ops = _ops_for(t)
+    assert ops.isos == sorted(ops.id_of[mc] for mc in reference)
 
 
 def test_class_beyond_cutoff_rejected():

@@ -271,6 +271,76 @@ def test_semi_mackey_check_examples():
     assert not rep and rep.axiom == "double-coset-law"
 
 
+MAX3 = tuple(tuple(max(a, b) for b in range(3)) for a in range(3))
+MAX2 = ((0, 1), (1, 1))
+
+# the seven axioms `validate_magma` and `semi_mackey_check` share, stated
+# literally on (structure, base)
+SHARED_AXIOMS = {
+    "action-unital": lambda s, b: b.sigma[s.unit_e] == s.unit_e,
+    "action-multiplicative": lambda s, b: all(
+        b.sigma[s.mul_e[x][y]] == s.mul_e[b.sigma[x]][b.sigma[y]]
+        for x, y in product(range(b.size_e), repeat=2)),
+    "r-unital": lambda s, b: b.r[s.unit_g] == s.unit_e,
+    "r-multiplicative": lambda s, b: all(
+        b.r[s.mul_g[x][y]] == s.mul_e[b.r[x]][b.r[y]]
+        for x, y in product(range(b.size_g), repeat=2)),
+    "t-unital": lambda s, b: s.t[s.unit_e] == s.unit_g,
+    "t-multiplicative": lambda s, b: all(
+        s.t[s.mul_e[x][y]] == s.mul_g[s.t[x]][s.t[y]]
+        for x, y in product(range(b.size_e), repeat=2)),
+    "t-equivariant": lambda s, b: all(
+        s.t[b.sigma[x]] == s.t[x] for x in range(b.size_e)),
+}
+
+# (axiom, base, mul_e, mul_g, t): commutative monoids with unit 0 at both
+# levels that break that shared axiom and no other one, save that an
+# action moving the unit is not multiplicative and misses the fixed
+# points r lands in
+BREAKS_ONE_SHARED_AXIOM = [
+    ("action-unital", CoefficientSystem(2, 3, [1, 0, 2], 1, [2]),
+     MAX3, ((0,),), (0, 0, 0)),
+    ("action-multiplicative", CoefficientSystem(2, 3, [0, 2, 1], 1, [0]),
+     MAX3, ((0,),), (0, 0, 0)),
+    ("r-unital", CoefficientSystem(2, 2, [0, 1], 1, [1]),
+     MAX2, ((0,),), (0, 0)),
+    ("r-multiplicative", CoefficientSystem(2, 2, [0, 1], 2, [0, 1]),
+     Z2, MAX2, (0, 0)),
+    ("t-unital", CoefficientSystem(2, 1, [0], 2, [0, 0]),
+     ((0,),), MAX2, (1,)),
+    ("t-multiplicative", CoefficientSystem(2, 2, [0, 1], 2, [0, 0]),
+     MAX2, Z2, (0, 1)),
+    ("t-equivariant", CoefficientSystem(2, 3, [0, 2, 1], 3, [0, 0, 0]),
+     Z3, Z3, (0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("axiom, base, mul_e, mul_g, t",
+                         BREAKS_ONE_SHARED_AXIOM,
+                         ids=[case[0] for case in BREAKS_ONE_SHARED_AXIOM])
+def test_both_full_checks_name_the_broken_shared_axiom(axiom, base, mul_e,
+                                                       mul_g, t):
+    """Both full checks report a broken shared axiom under one name, with
+    one witness."""
+    m = CpUnitalMagma(base, mul_e, 0, mul_g, 0, t, validate=False)
+    sm = SemiMackeyFunctor(base, mul_e, 0, mul_g, 0, t, validate=False)
+    broken = {name for name, holds in SHARED_AXIOMS.items()
+              if not holds(m, base)}
+    if axiom == "action-unital":
+        assert broken == {axiom, "action-multiplicative", "r-unital"}
+    else:
+        assert broken == {axiom}
+    for level in (mul_e, mul_g):
+        n = len(level)
+        assert all(level[x][y] == level[y][x] and
+                   level[level[x][y]][z] == level[x][level[y][z]]
+                   for x, y, z in product(range(n), repeat=3))
+    rep_m, rep_sm = validate_magma(m), semi_mackey_check(sm)
+    assert not rep_m and not rep_sm
+    assert rep_m.axiom == rep_sm.axiom == axiom
+    assert rep_m.witness == rep_sm.witness
+
+
 def test_semi_mackey_span_path_agrees_with_direct_formula():
     # included in semi_mackey_check; exercise a nontrivial action explicitly
     base = CoefficientSystem(2, 3, [0, 2, 1], 2, [0, 0])
