@@ -34,6 +34,7 @@ from .indexing import (LevelTables, WeakIndexingSystem, close_system,
 from .poset import Poset, _bits, _mask, close, closure_lattice
 
 GROUND_GUARD = 400  # map classes the category enumeration accepts
+UNIVERSE_GUARD = 100_000  # map classes the universe builds before it stops
 
 
 # -- map classes ----------------------------------------------------------
@@ -115,7 +116,7 @@ def iso_classes(tables: LevelTables) -> set:
     return {ops.classes[u] for u in ops.isos}
 
 
-def map_class_universe(tables: LevelTables, guard: int = 400_000) -> list:
+def map_class_universe(tables: LevelTables) -> list:
     """All map classes within the cutoff, canonically ordered."""
     comps = []
     for h in tables.lat.class_reps:
@@ -127,9 +128,9 @@ def map_class_universe(tables: LevelTables, guard: int = 400_000) -> list:
 
     def rec(i, src_left, dst_left, acc):
         out.append(tuple(acc))
-        if len(out) > guard:
+        if len(out) > UNIVERSE_GUARD:
             raise GuardExceededError(
-                f"map-class universe exceeds the guard of {guard}")
+                f"map-class universe exceeds the guard of {UNIVERSE_GUARD}")
         for j in range(i, len(comps)):
             s, d = comp_sizes(tables, comps[j])
             if s <= src_left and d <= dst_left:
@@ -366,11 +367,11 @@ class _Ops:
         return self._rules[u]
 
 
-def _ops_for(tables: LevelTables, guard: int = 400_000) -> _Ops:
+def _ops_for(tables: LevelTables) -> _Ops:
     """The map-class operations owned by `tables`, built on first use from
-    the full universe (`guard` bounds that first build)."""
+    the full universe."""
     if tables.map_ops is None:
-        tables.map_ops = _Ops(tables, map_class_universe(tables, guard))
+        tables.map_ops = _Ops(tables, map_class_universe(tables))
     return tables.map_ops
 
 
@@ -518,7 +519,8 @@ def generate_category(group: FiniteGroup, generators, unital: bool = False,
     equivalent but only feasible at very small cutoffs); the optional
     unitality flag adjoins the empty arity everywhere.
     """
-    tables = level_tables(group, cutoff or default_cutoff(group))
+    tables = level_tables(group, default_cutoff(group) if cutoff is None
+                          else cutoff)
     seeds = [comp for f in generators for comp in map_class_of(tables, f)]
     sys = close_system(tables, seeds,
                        unital_levels=range(tables.n_sids) if unital else ())
@@ -533,7 +535,7 @@ def enumerate_categories(group: FiniteGroup, cutoff: int,
     `closure_lattice` over all classes is exhaustive.
     """
     tables = level_tables(group, cutoff)
-    ops = _ops_for(tables, guard=100_000)
+    ops = _ops_for(tables)
     if len(ops.classes) > GROUND_GUARD:
         raise GuardExceededError(
             f"{len(ops.classes)} map classes exceed the guard of {GROUND_GUARD}")

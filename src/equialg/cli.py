@@ -57,7 +57,7 @@ def cmd_enumerate(args) -> int:
     else:
         poset = enumerate_systems(group, args.cutoff, args.filter)
         kind = f"weak indexing systems ({args.filter})"
-    cutoff = args.cutoff or default_cutoff(group)
+    cutoff = default_cutoff(group) if args.cutoff is None else args.cutoff
     print(f"{group.name}: {len(poset)} {kind}"
           + ("" if args.transfer_systems else f" at cutoff {cutoff}"))
     if args.format == "dot":

@@ -3,6 +3,8 @@
 Everything is index-based: a group of order n has elements 0..n-1 and a
 total multiplication table.  Intended scale is |G| <= 16, so every
 algorithm here is exhaustive and every value is validated on construction.
+Subgroups are the closed sets of `_product_rules` over the identity:
+`poset.close` generates one and `poset.closure_lattice` lists them all.
 """
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import json
 from itertools import product
 
 from .errors import ValidationError, require_ints
+from .poset import _bits, _mask, close, closure_lattice
 
 
 class FiniteGroup:
@@ -206,39 +209,33 @@ class Subgroup:
         return Subgroup(big.as_group(), {big.to_local(a) for a in self.members})
 
 
+def _product_rules(g: FiniteGroup):
+    """`poset.close` rules on element bits: a pair (a, b) forces a·b and
+    b·a, and no element forces anything alone."""
+    everything = (1 << g.order) - 1
+    table = tuple((0, everything,
+                   {1 << b: 1 << g.mul(a, b) | 1 << g.mul(b, a)
+                    for b in g.elements})
+                  for a in g.elements)
+    return table.__getitem__
+
+
 def generated_subgroup(g: FiniteGroup, gens) -> frozenset:
     """Member set of the subgroup generated by `gens`: its closure under
     products, which holds a^-1 = a^(k-1) for the order k of each a."""
-    members = set(gens) | {g.identity}
-    while new := {g.mul(a, b) for a in members for b in members} - members:
-        members |= new
-    return frozenset(members)
+    return frozenset(_bits(close(_product_rules(g),
+                                 _mask(gens) | 1 << g.identity)))
 
 
 def subgroups(g: FiniteGroup) -> list:
     """All subgroups, sorted by (order, lexicographic member list).
 
-    Cyclic subgroups are closed under pairwise join; every subgroup is a
-    join of the cyclic subgroups of its elements, so the fixpoint below is
-    exhaustive.
+    In a finite group a product-closed set holding the identity is a
+    subgroup, so `closure_lattice` over the identity lists them all.
     """
-    cyclics = {generated_subgroup(g, [a]) for a in g.elements}
-    found = set(cyclics)
-    found.add(frozenset({g.identity}))
-    frontier = set(found)
-    while frontier:
-        new = set()
-        for h in frontier:
-            for c in cyclics:
-                if c <= h:
-                    continue
-                j = generated_subgroup(g, h | c)
-                if j not in found:
-                    new.add(j)
-        found |= new
-        frontier = new
-    return [Subgroup(g, m)
-            for m in sorted(found, key=lambda m: (len(m), tuple(sorted(m))))]
+    found = closure_lattice(_product_rules(g), 1 << g.identity,
+                            (1 << g.order) - 1)
+    return sorted((Subgroup(g, _bits(m)) for m in found), key=lambda h: h.key)
 
 
 class SubgroupLattice:

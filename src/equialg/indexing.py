@@ -500,17 +500,14 @@ def f_complete(tables: LevelTables) -> WeakIndexingSystem:
 # -- enumeration --------------------------------------------------------
 
 def _families(tables: LevelTables):
-    """Downward-closed, conjugation-stable subgroup families, as sid sets."""
+    """Downward-closed, conjugation-stable subgroup families, as sid sets:
+    the closed sets where H forces its subgroups and its conjugates."""
     t = tables
-    out = set()
-    for bits in range(1 << t.n_sids):
-        fam = frozenset(i for i in range(t.n_sids) if bits >> i & 1)
-        ok = all(set(t.sub_sids[hi]) <= fam for hi in fam)
-        ok = ok and all(t.conj_sid[g][hi] in fam
-                        for g in t.group.elements for hi in fam)
-        if ok:
-            out.add(fam)
-    return sorted(out, key=lambda f: (len(f), sorted(f)))
+    rules = [(_mask(t.sub_sids[hi]) | _mask(row[hi] for row in t.conj_sid),
+              0, {}) for hi in range(t.n_sids)]
+    found = closure_lattice(rules.__getitem__, 0, (1 << t.n_sids) - 1)
+    return sorted((frozenset(_bits(m)) for m in found),
+                  key=lambda f: (len(f), sorted(f)))
 
 
 def enumerate_systems(group: FiniteGroup, cutoff: int | None = None,
@@ -526,7 +523,8 @@ def enumerate_systems(group: FiniteGroup, cutoff: int | None = None,
     """
     if which not in ("all", "unital", "almost_unital"):
         raise ValidationError(f"unknown filter {which!r}")
-    t = level_tables(group, cutoff or default_cutoff(group))
+    t = level_tables(group, default_cutoff(group) if cutoff is None
+                     else cutoff)
     t.guard_levels(LEVEL_GUARD, "lower the cutoff")
     if which in t.posets:
         return t.posets[which]

@@ -1,9 +1,9 @@
 """Small finite posets, ordered by a predicate or by inclusion of int
 masks, with Hasse-diagram and JSON export, and the one closure engine of
-both encodings of weak indexing systems: `close` and `closure_lattice`
-work on int bitmasks, with per-element rules supplied independently by
-`indexing.LevelTables` and `category._Ops`: `close` by semi-naive
-evaluation, `closure_lattice` by Fast Close-by-One."""
+every closed-set search: `close` and `closure_lattice` work on int
+bitmasks, with per-element rules supplied by `groups._product_rules`,
+`indexing._families`, `indexing.LevelTables` and `category._Ops`: `close`
+by semi-naive evaluation, `closure_lattice` by Fast Close-by-One."""
 from __future__ import annotations
 
 import hashlib

@@ -43,7 +43,10 @@ def test_enumerate_guard_exit_2(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--group", "cyclic:4", "--cutoff", "3", "--filter", "unital"],
-    ["conn", "--group", "cyclic:4", "--cutoff", "2", "--all-pairs"]])
+    ["conn", "--group", "cyclic:4", "--cutoff", "2", "--all-pairs"],
+    # 0 is a cutoff too, not a request for the default 3·|G|
+    ["enumerate", "--group", "cyclic:4", "--cutoff", "0", "--filter", "unital"],
+    ["conn", "--group", "cyclic:4", "--cutoff", "0", "--all-pairs"]])
 def test_cutoff_below_group_order_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and not out

@@ -31,6 +31,18 @@ def s3_table():
     return [[perms.index(comp(p, q)) for q in perms] for p in perms]
 
 
+def d8_table():
+    """Symmetries of a square, as permutations of its corners."""
+    perms = [(0, 1, 2, 3)]
+    for x in perms:
+        for g in [(1, 2, 3, 0), (0, 3, 2, 1)]:
+            y = tuple(g[i] for i in x)
+            if y not in perms:
+                perms.append(y)
+    comp = lambda p, q: tuple(p[q[i]] for i in range(4))
+    return [[perms.index(comp(p, q)) for q in perms] for p in perms]
+
+
 def test_cyclic_trivial():
     g = cyclic_group(1)
     assert g.order == 1
@@ -52,6 +64,19 @@ def test_subgroups_of_c6_match_brute_force():
     got = [h.members for h in subgroups(g)]
     assert got == brute_force_subgroups(g)
     assert len(got) == 4
+
+
+@pytest.mark.parametrize("g, count", [
+    (direct_product(direct_product(cyclic_group(2), cyclic_group(2)),
+                    cyclic_group(2)), 16),
+    (direct_product(cyclic_group(4), cyclic_group(2)), 8),
+    (direct_product(FiniteGroup(s3_table(), name="S3"), cyclic_group(2)), 16),
+    (FiniteGroup(d8_table(), name="D8"), 10)],
+    ids=["C2xC2xC2", "C4xC2", "S3xC2", "D8"])
+def test_subgroups_of_non_cyclic_groups_match_brute_force(g, count):
+    got = [h.members for h in subgroups(g)]
+    assert got == brute_force_subgroups(g)
+    assert len(got) == count
 
 
 def test_subgroups_trivial_and_c2():

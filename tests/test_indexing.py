@@ -8,6 +8,7 @@ import textwrap
 import weakref
 from itertools import combinations, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,11 +21,12 @@ from equialg.category import (WeakIndexingCategory, _ops_for, _transports,
                               is_weak_indexing_category, iso_classes,
                               map_class_of, map_class_universe)
 from equialg.errors import CutoffOverflowError
-from equialg.groups import FiniteGroup, Subgroup
+from equialg.groups import FiniteGroup, Subgroup, subgroup_lattice
 from equialg.gsets import GSet, GSetMap, orbit_projection, terminal_map
-from equialg.indexing import (LevelTables, WeakIndexingSystem, close_system,
-                              enumerate_systems, enumerate_transfer_systems,
-                              f_complete, f_infinity, f_trivial, f_zero, join,
+from equialg.indexing import (LevelTables, WeakIndexingSystem, _families,
+                              close_system, enumerate_systems,
+                              enumerate_transfer_systems, f_complete,
+                              f_infinity, f_trivial, f_zero, join,
                               level_tables, meet, system_check,
                               transfer_check, transfer_system_of,
                               truncate_system)
@@ -131,6 +133,11 @@ def test_cutoff_below_group_order_rejected():
     with pytest.raises(ValidationError):
         enumerate_systems(C4, 3, "unital")
     assert len(enumerate_systems(C4, 4, "unital")) >= 1
+    # 0 is a cutoff too, not a request for the default 3·|G|
+    with pytest.raises(ValidationError, match="cutoff 0 is below"):
+        enumerate_systems(C2, 0, "unital")
+    with pytest.raises(ValidationError, match="cutoff 0 is below"):
+        generate_category(C2, [], cutoff=0)
 
 
 # -- category validity (the literal checker) -------------------------------
@@ -530,6 +537,47 @@ def d8_group():
                 elems.append(y)
     return FiniteGroup([[elems.index(tuple(p[q[i]] for i in range(4)))
                          for q in elems] for p in elems], name="D8")
+
+
+def reference_families(tables):
+    """Every downward-closed, conjugation-stable subgroup family, by a test
+    of each of the 2^n sid sets: the search `_families` replaced."""
+    t = tables
+    out = set()
+    for bits in range(1 << t.n_sids):
+        fam = frozenset(i for i in range(t.n_sids) if bits >> i & 1)
+        ok = all(set(t.sub_sids[hi]) <= fam for hi in fam)
+        ok = ok and all(t.conj_sid[g][hi] in fam
+                        for g in t.group.elements for hi in fam)
+        if ok:
+            out.add(fam)
+    return sorted(out, key=lambda f: (len(f), sorted(f)))
+
+
+@pytest.mark.parametrize("group, cutoff", [
+    (C2, 2), (C4, 4), (cyclic_group(6), 6), (s3_group(), 6),
+    (direct_product(C2, C2), 4), (d8_group(), 8),
+    (direct_product(direct_product(C2, C2), C2), 8)],
+    ids=["C2-2", "C4-4", "C6-6", "S3-6", "C2xC2-4", "D8-8", "C2xC2xC2-8"])
+def test_families_match_the_power_set_search(group, cutoff):
+    t = level_tables(group, cutoff)
+    assert _families(t) == reference_families(t)
+
+
+def test_families_past_the_lattice_guard_stop_at_once():
+    """C2^4 has 67 subgroups: the power-set search would take 2^67 steps,
+    the closed-set search stops at the lattice guard.  `_families` reads
+    only the subgroup tables, so no level classes are built."""
+    group = direct_product(direct_product(direct_product(C2, C2), C2), C2)
+    lat = subgroup_lattice(group)
+    tables = SimpleNamespace(
+        n_sids=len(lat), conj_sid=lat.conj_table,
+        sub_sids=[tuple(k for k in range(len(lat)) if lat.leq[k][hi])
+                  for hi in range(len(lat))])
+    assert tables.n_sids == 67
+    with pytest.raises(GuardExceededError, match=f"more than {LATTICE_GUARD} "
+                       "closed sets"):
+        _families(tables)
 
 
 @pytest.mark.parametrize("group, cutoff, rows", [

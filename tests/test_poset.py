@@ -262,7 +262,7 @@ def reference_closure_lattice(rules, core_seeds, candidates):
 
 
 def _map_class_args(cutoff, unital):
-    ops = _ops_for(level_tables(C2, cutoff), guard=100_000)
+    ops = _ops_for(level_tables(C2, cutoff))
     return ops.rules, ops.core_mask(unital), (1 << len(ops.classes)) - 1
 
 
