@@ -423,12 +423,11 @@ class WeakIndexingCategory:
     """A weak indexing category at a cutoff, stored by its admissible
     components; full map-class sets are materialized on demand."""
 
-    __slots__ = ("tables", "components", "_key")
+    __slots__ = ("tables", "components")
 
     def __init__(self, tables: LevelTables, components, validate: bool = True):
         self.tables = tables
         self.components = frozenset(components)
-        self._key = None
         if validate:
             rep = system_check(self.to_system())
             if not rep:
@@ -441,17 +440,6 @@ class WeakIndexingCategory:
     @property
     def cutoff(self):
         return self.tables.cutoff
-
-    def value_key(self):
-        if self._key is None:
-            t = self.tables
-            self._key = tuple(sorted(
-                (tuple(sorted(t.members[h])), t.classes[h][c])
-                for (h, c) in self.components))
-        return self._key
-
-    def sort_key(self):
-        return (len(self.components), self.value_key())
 
     def __eq__(self, other):
         return (isinstance(other, WeakIndexingCategory)

@@ -52,11 +52,16 @@ def _emit(args, text: str):
 def cmd_enumerate(args) -> int:
     group = _group(args.group)
     if args.transfer_systems:
+        for flag, value in (("--cutoff", args.cutoff),
+                            ("--filter", args.filter)):
+            if value is not None:
+                raise ValidationError(f"--transfer-systems does not read {flag}")
         poset = enumerate_transfer_systems(group)
         kind = "transfer systems"
     else:
-        poset = enumerate_systems(group, args.cutoff, args.filter)
-        kind = f"weak indexing systems ({args.filter})"
+        which = "all" if args.filter is None else args.filter
+        poset = enumerate_systems(group, args.cutoff, which)
+        kind = f"weak indexing systems ({which})"
     cutoff = default_cutoff(group) if args.cutoff is None else args.cutoff
     print(f"{group.name}: {len(poset)} {kind}"
           + ("" if args.transfer_systems else f" at cutoff {cutoff}"))
@@ -215,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="enumerate indexing posets")
     options(p_enum, "--group", "--cutoff", "--output", "--format")
     p_enum.add_argument(
-        "--filter", default="all", choices=["all", "unital", "almost_unital"],
+        "--filter", default=None, choices=["all", "unital", "almost_unital"],
         help=f"'all' (the default) is guarded at {ALL_LEVEL_GUARD} level "
              "classes, which cyclic:4 exceeds at its default cutoff; "
              f"'unital' and 'almost_unital' are guarded at {LEVEL_GUARD}; "

@@ -55,18 +55,9 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
 
-    def inverse(self, a: int) -> int:
-        return self.inv_table[a]
-
     def conj(self, g: int, a: int) -> int:
         """g a g^-1."""
         return self.mul(self.mul(g, a), self.inv_table[g])
-
-    def power(self, a: int, k: int) -> int:
-        x = self.identity
-        for _ in range(k):
-            x = self.mul(x, a)
-        return x
 
     @property
     def elements(self) -> range:
@@ -160,9 +151,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def index(self) -> int:
-        return self.parent.order // self.order
 
     def __contains__(self, a):
         return a in self.members
@@ -273,14 +261,6 @@ class SubgroupLattice:
 
     def __len__(self):
         return len(self.nodes)
-
-    @property
-    def bottom(self) -> int:
-        return 0
-
-    @property
-    def top(self) -> int:
-        return len(self.nodes) - 1
 
     def class_rep(self, i: int) -> int:
         """Canonical (minimal-index) subgroup in the conjugacy class of node i."""

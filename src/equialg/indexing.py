@@ -24,7 +24,9 @@ here as well.  The equivalent encoding by categories of G-set maps is in
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from collections import Counter, defaultdict
+from functools import cached_property
 from itertools import chain, product, repeat
 
 from .errors import (CheckReport, CutoffOverflowError, GuardExceededError,
@@ -45,10 +47,10 @@ class LevelTables:
     """Shared per-(group, cutoff) tables: orbit types, class interning and
     bit index, restriction / conjugation / coproduct on classes.
 
-    Everything derived from one group and cutoff is cached here, so it
-    lives exactly as long as the tables: orbit restrictions, the closure
-    rules of each class and the map-class operations of `category` (both
-    built on first use), and the posets and cores of `enumerate_systems`.
+    Everything derived from one group and cutoff is kept here, so it
+    lives exactly as long as the tables: orbit restrictions, every class's
+    closure rules and the map-class operations of `category` (both built
+    whole on first use), and the posets and cores of `enumerate_systems`.
     """
 
     def __init__(self, group: FiniteGroup, cutoff: int):
@@ -81,6 +83,19 @@ class LevelTables:
             self.sub_sids.append(tuple(subs))
             self.h_class_rep.append(rep)
             self.orbit_types.append(tuple(sorted(set(rep.values()))))
+        self.res_orbit = {}  # [H, K, L]: Res^H_K (H/L), by cosets K\H/L
+        for hi, types in enumerate(self.orbit_types):
+            for ki, li in product(self.sub_sids[hi], types):
+                km, lm = self.members[ki], self.members[li]
+                remaining = set(self.members[hi])
+                out = []
+                while remaining:
+                    x = min(remaining)
+                    remaining -= {group.mul(group.mul(a, x), b)
+                                  for a in km for b in lm}
+                    stab = km & frozenset(group.conj(x, b) for b in lm)
+                    out.append(self.h_class_rep[ki][self.lat.index_of[stab]])
+                self.res_orbit[hi, ki, li] = tuple(sorted(out))
         # interned H-set classes per level, sorted by (size, tuple)
         self.classes = []
         self.class_id = []
@@ -97,8 +112,6 @@ class LevelTables:
         for hi, lst in enumerate(self.classes):
             self.offset.append(len(self.bit_class))
             self.bit_class.extend((hi, cid) for cid in range(len(lst)))
-        self._orbit_res_cache: dict = {}
-        self._rules: dict = {}      # bit -> closure rules of its class
         self.posets: dict = {}      # enumerate_systems filter -> Poset
         self.cores: dict = {}       # (core, seed levels) -> joins over core
         self.map_ops = None         # category._Ops over every map class
@@ -177,30 +190,11 @@ class LevelTables:
                 | _mask(off[hi] + self.empty(hi) for hi in unital_levels))
 
     # -- operations on classes ----------------------------------------
-    def restrict_orbit(self, hi: int, ki: int, li: int) -> tuple:
-        """Orbit types of Res^H_K (H/L) via double cosets K\\H/L."""
-        key = (hi, ki, li)
-        got = self._orbit_res_cache.get(key)
-        if got is None:
-            grp = self.group
-            km, lm = self.members[ki], self.members[li]
-            remaining = set(self.members[hi])
-            out = []
-            while remaining:
-                x = min(remaining)
-                orbit = {grp.mul(grp.mul(a, x), b) for a in km for b in lm}
-                remaining -= orbit
-                stab = km & frozenset(grp.conj(x, b) for b in lm)
-                out.append(self.h_class_rep[ki][self.lat.index_of[stab]])
-            got = tuple(sorted(out))
-            self._orbit_res_cache[key] = got
-        return got
-
     def restrict_cls(self, hi: int, ki: int, cid: int):
         """Restriction to an actual subgroup K <= H; None if unrepresentable."""
         out = []
         for li in self.classes[hi][cid]:
-            out.extend(self.restrict_orbit(hi, ki, li))
+            out += self.res_orbit[hi, ki, li]
         return self.encode(ki, tuple(out))
 
     def conj_cls(self, g: int, hi: int, cid: int):
@@ -230,33 +224,40 @@ class LevelTables:
     def rules(self, i: int):
         """The `poset.close` rules of the class at bit i: alone it forces
         its conjugates and restrictions; with a partner, the single-slot
-        coproducts of the pair with either one in the slot, so the pair
-        rule is symmetric."""
-        if i not in self._rules:
-            hi, cid = self.bit_class[i]
-            off = self.offset
-            unary = 0
+        coproducts of the pair with either one in the slot (a symmetric
+        pair rule).  Every class's rules are built on the first call."""
+        return self._rules[i]
+
+    @cached_property
+    def _rules(self) -> list:
+        # T fits a slot of type K in S iff |T| <= (cut_H - |S|) // [H:K] + 1,
+        # a prefix of level K's size-sorted classes; each built once, for both
+        off = self.offset
+        unary = []
+        forced = [defaultdict(int) for _ in self.bit_class]
+        for i, (hi, cid) in enumerate(self.bit_class):
+            u = 0
             if not self.abelian:
                 for g in self.conj_reps:
                     hj, moved = self.conj_cls(g, hi, cid)
-                    unary |= 1 << (off[hj] + moved)
+                    u |= 1 << (off[hj] + moved)
             for ki in self.sub_sids[hi]:
                 res = self.restrict_cls(hi, ki, cid) if ki != hi else None
                 if res is not None:
-                    unary |= 1 << (off[ki] + res)
-            forced = defaultdict(int)
-            for ki in set(self.classes[hi][cid]):       # i outside the slot
-                for tid in range(len(self.classes[ki])):
+                    u |= 1 << (off[ki] + res)
+            unary.append(u)
+            room = self.level_cutoff[hi] - self.cls_size[hi][cid]
+            for ki in set(self.classes[hi][cid]):
+                fit = room // self.orbit_size(hi, ki) + 1
+                for tid in range(bisect_right(self.cls_size[ki], fit)):
                     out = self.coproduct_single(hi, cid, ki, tid)
-                    if out is not None:
-                        forced[1 << (off[ki] + tid)] |= 1 << (off[hi] + out)
-            for j, (hj, sid) in enumerate(self.bit_class):  # i in the slot
-                if hi in self.classes[hj][sid]:
-                    out = self.coproduct_single(hj, sid, hi, cid)
-                    if out is not None:
-                        forced[1 << j] |= 1 << (off[hj] + out)
-            self._rules[i] = (unary, sum(forced), dict(forced))
-        return self._rules[i]
+                    if out is None:
+                        raise self.violation("coproduct within the cutoff "
+                                             "not interned", hi, cid, ki, tid)
+                    j = off[ki] + tid
+                    forced[i][1 << j] |= 1 << (off[hi] + out)
+                    forced[j][1 << i] |= 1 << (off[hi] + out)
+        return [(u, sum(f), dict(f)) for u, f in zip(unary, forced)]
 
     def weyl_canonical(self, hi: int, cid: int) -> int:
         """Least class in the orbit of cid under the normalizer of H."""
@@ -265,11 +266,30 @@ class LevelTables:
         return min(self.conj_cls(g, hi, cid)[1] for g in self.conj_reps
                    if self.conj_sid[g][hi] == hi)
 
-    def guard_levels(self, limit: int, advice: str):
-        total = sum(len(c) for c in self.classes)
-        if total > limit:
-            raise GuardExceededError(
-                f"{total} level classes exceed the guard of {limit}; {advice}")
+
+def _count_level_classes(group: FiniteGroup, cutoff: int) -> int:
+    """The number of level classes `LevelTables(group, cutoff)` interns,
+    counted from the subgroup lattice alone (coin change over each level's
+    orbit sizes), so a guard can refuse the tables before they are built."""
+    lat = subgroup_lattice(group)
+    total = 0
+    for hi, h in enumerate(lat.nodes):
+        # one coin per H-conjugacy class of subgroups K <= H, worth [H:K]
+        reps = {min(lat.conj_table[g][k] for g in h.members)
+                for k in range(len(lat.nodes)) if lat.leq[k][hi]}
+        ways = [1] + [0] * (cutoff * h.order // group.order)
+        for k in reps:
+            size = h.order // lat.nodes[k].order
+            for s in range(size, len(ways)):
+                ways[s] += ways[s - size]
+        total += sum(ways)
+    return total
+
+
+def _guard(total: int, limit: int, advice: str):
+    if total > limit:
+        raise GuardExceededError(
+            f"{total} level classes exceed the guard of {limit}; {advice}")
 
 
 _TABLES: dict = {}
@@ -523,15 +543,16 @@ def enumerate_systems(group: FiniteGroup, cutoff: int | None = None,
     """
     if which not in ("all", "unital", "almost_unital"):
         raise ValidationError(f"unknown filter {which!r}")
-    t = level_tables(group, default_cutoff(group) if cutoff is None
-                     else cutoff)
-    t.guard_levels(LEVEL_GUARD, "lower the cutoff")
+    cutoff = default_cutoff(group) if cutoff is None else cutoff
+    _guard(_count_level_classes(group, cutoff), LEVEL_GUARD,
+           "lower the cutoff")
+    t = level_tables(group, cutoff)
     if which in t.posets:
         return t.posets[which]
     if which == "all":
-        t.guard_levels(ALL_LEVEL_GUARD, "that guard is for the unfiltered "
-                       "'all'; filter 'unital' or 'almost_unital' (guarded at "
-                       f"{LEVEL_GUARD}), or lower the cutoff")
+        _guard(len(t.bit_class), ALL_LEVEL_GUARD, "that guard is for the "
+               "unfiltered 'all'; filter 'unital' or 'almost_unital' (guarded "
+               f"at {LEVEL_GUARD}), or lower the cutoff")
         found = _enumerate_over_core(t, core_levels=(), seed_levels=range(t.n_sids))
     elif which == "unital":
         found = _enumerate_over_core(t, core_levels=range(t.n_sids),

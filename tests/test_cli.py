@@ -53,6 +53,17 @@ def test_cutoff_below_group_order_exit_1(capsys, argv):
     assert err.startswith("error:") and "below the group order 4" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--cutoff", "6"], "--cutoff"), (["--cutoff", "0"], "--cutoff"),
+    (["--filter", "unital"], "--filter"), (["--filter", "all"], "--filter")])
+def test_transfer_systems_reject_the_options_they_do_not_read(capsys, argv,
+                                                              flag):
+    code, out, err = run(capsys, "enumerate", "--group", "cyclic:2",
+                         "--transfer-systems", *argv)
+    assert code == 1 and not out
+    assert err == f"error: --transfer-systems does not read {flag}\n"
+
+
 def test_enumerate_all_guard_names_the_way_out(capsys):
     # C4 has 104 level classes at its default cutoff 12, over the 80 of 'all'
     code, out, err = run(capsys, "enumerate", "--group", "cyclic:4")

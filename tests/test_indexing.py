@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import weakref
+from collections import defaultdict
 from itertools import combinations, product
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,7 +24,8 @@ from equialg.category import (WeakIndexingCategory, _ops_for, _transports,
 from equialg.errors import CutoffOverflowError
 from equialg.groups import FiniteGroup, Subgroup, subgroup_lattice
 from equialg.gsets import GSet, GSetMap, orbit_projection, terminal_map
-from equialg.indexing import (LevelTables, WeakIndexingSystem, _families,
+from equialg.indexing import (LevelTables, WeakIndexingSystem,
+                              _count_level_classes, _families,
                               close_system, enumerate_systems,
                               enumerate_transfer_systems, f_complete,
                               f_infinity, f_trivial, f_zero, join,
@@ -604,6 +606,118 @@ def test_conjugation_reads_one_element_per_conj_sid_row(group, cutoff, rows):
             assert t.weyl_canonical(src, cid) == min(moved[src])
 
 
+def reference_restrict_orbit(t, hi, ki, li):
+    """Orbit types of Res^H_K (H/L) via double cosets K\\H/L, computed on
+    each call: the method the table `LevelTables.res_orbit` replaced."""
+    grp = t.group
+    km, lm = t.members[ki], t.members[li]
+    remaining = set(t.members[hi])
+    out = []
+    while remaining:
+        x = min(remaining)
+        orbit = {grp.mul(grp.mul(a, x), b) for a in km for b in lm}
+        remaining -= orbit
+        stab = km & frozenset(grp.conj(x, b) for b in lm)
+        out.append(t.h_class_rep[ki][t.lat.index_of[stab]])
+    return tuple(sorted(out))
+
+
+def reference_rules(t, i):
+    """The rules of bit i alone, by the two loops the one-pass build
+    replaced: the coproducts with i outside the slot over every class of
+    the slot's level, then a scan of every class for those with i in the
+    slot, each kept unless it overflows the cutoff."""
+    hi, cid = t.bit_class[i]
+    off = t.offset
+    unary = 0
+    if not t.abelian:
+        for g in t.conj_reps:
+            hj, moved = t.conj_cls(g, hi, cid)
+            unary |= 1 << (off[hj] + moved)
+    for ki in t.sub_sids[hi]:
+        res = t.restrict_cls(hi, ki, cid) if ki != hi else None
+        if res is not None:
+            unary |= 1 << (off[ki] + res)
+    forced = defaultdict(int)
+    for ki in set(t.classes[hi][cid]):
+        for tid in range(len(t.classes[ki])):
+            out = t.coproduct_single(hi, cid, ki, tid)
+            if out is not None:
+                forced[1 << (off[ki] + tid)] |= 1 << (off[hi] + out)
+    for j, (hj, sid) in enumerate(t.bit_class):
+        if hi in t.classes[hj][sid]:
+            out = t.coproduct_single(hj, sid, hi, cid)
+            if out is not None:
+                forced[1 << j] |= 1 << (off[hj] + out)
+    return unary, sum(forced), dict(forced)
+
+
+# S3 and D8 take the conjugation branch of the rules
+RULE_TABLES = pytest.mark.parametrize("group, cutoff", [
+    (C2, 6), (C4, 12), (cyclic_group(6), 12), (s3_group(), 6),
+    (s3_group(), 12), (direct_product(C2, C2), 8), (d8_group(), 8),
+    (cyclic_group(8), 24)],
+    ids=["C2-6", "C4-12", "C6-12", "S3-6", "S3-12", "C2xC2-8", "D8-8",
+         "C8-24"])
+
+
+@RULE_TABLES
+def test_one_pass_rules_match_the_per_class_build(group, cutoff):
+    t = level_tables(group, cutoff)
+    for i in range(len(t.bit_class)):
+        assert t.rules(i) == reference_rules(t, i)
+
+
+@pytest.mark.parametrize("group, cutoff, fitting", [
+    (cyclic_group(6), 12, 2209), (s3_group(), 12, 2281)],
+    ids=["C6-12", "S3-12"])
+def test_rules_compute_each_fitting_coproduct_once(monkeypatch, group,
+                                                   cutoff, fitting):
+    """Every single-slot coproduct that fits the cutoff is computed exactly
+    once while the rules are built, and no other."""
+    t = LevelTables(group, cutoff)
+    expected = sorted(
+        (hi, cid, ki, tid) for hi, cid in t.bit_class
+        for ki in set(t.classes[hi][cid]) for tid in range(len(t.classes[ki]))
+        if t.coproduct_single(hi, cid, ki, tid) is not None)
+    calls = []
+    real = LevelTables.coproduct_single
+    monkeypatch.setattr(LevelTables, "coproduct_single",
+                        lambda self, *a: calls.append(a) or real(self, *a))
+    t.rules(0)
+    assert sorted(calls) == expected and len(calls) == fitting
+
+
+@pytest.mark.parametrize("group, cutoff", [
+    (C2, 6), (cyclic_group(6), 12), (s3_group(), 12),
+    (direct_product(C2, C2), 8), (d8_group(), 8),
+    (direct_product(direct_product(C2, C2), C2), 8)],
+    ids=["C2-6", "C6-12", "S3-12", "C2xC2-8", "D8-8", "C2xC2xC2-8"])
+def test_restriction_table_matches_the_double_coset_loop(group, cutoff):
+    t = level_tables(group, cutoff)
+    keys = {(hi, ki, li) for hi in range(t.n_sids)
+            for ki in t.sub_sids[hi] for li in t.orbit_types[hi]}
+    assert set(t.res_orbit) == keys
+    for hi, ki, li in keys:
+        assert t.res_orbit[hi, ki, li] == reference_restrict_orbit(t, hi, ki,
+                                                                   li)
+
+
+@pytest.mark.parametrize("group, cutoff", [
+    (C2, 6), (C4, 12), (cyclic_group(6), 12), (s3_group(), 6),
+    (s3_group(), 12), (direct_product(C2, C2), 8), (d8_group(), 8),
+    (cyclic_group(8), 24), (direct_product(direct_product(C2, C2), C2), 8)],
+    ids=["C2-6", "C4-12", "C6-12", "S3-6", "S3-12", "C2xC2-8", "D8-8",
+         "C8-24", "C2xC2xC2-8"])
+def test_level_classes_are_counted_before_they_are_interned(group, cutoff):
+    """The level guard reads a coin-change count over the subgroup lattice;
+    it equals the number of classes the tables intern.  C2xC2xC2 at its
+    least cutoff 8 has 1244, past the guard: the tables still build, only
+    the enumerations refuse them."""
+    assert (_count_level_classes(group, cutoff)
+            == len(level_tables(group, cutoff).bit_class))
+
+
 def test_brute_force_power_set_oracle_c2():
     t = level_tables(C2, 4)
     per_level = []
@@ -751,6 +865,13 @@ def test_transfer_extraction_needs_unital():
 @pytest.mark.parametrize("build, message", [
     (lambda: enumerate_systems(cyclic_group(16)),
      "8908 level classes exceed the guard of 1200"),
+    # refused before any class is interned (the build takes over a minute)
+    (lambda: enumerate_systems(direct_product(direct_product(direct_product(
+        C2, C2), C2), C2), 16, "unital"),
+     "9564666 level classes exceed the guard of 1200; lower the cutoff"),
+    (lambda: enumerate_systems(direct_product(direct_product(C2, C2), C2),
+                               8, "unital"),
+     "1244 level classes exceed the guard of 1200; lower the cutoff"),
     (lambda: enumerate_systems(C2, 20, "all"),
      "132 level classes exceed the guard of 80"),
     (lambda: enumerate_transfer_systems(
@@ -763,8 +884,9 @@ def test_transfer_extraction_needs_unital():
      "more than 25000 closed sets exceed the lattice guard"),
     (lambda: enumerate_systems(cyclic_group(3), 9, "all"),
      "more than 25000 closed sets exceed the lattice guard"),
-], ids=["C16-levels", "C2-20-all", "C2xC2xC2-transfers", "C2-8-categories",
-        "S3-6-all", "C3-9-all"])
+], ids=["C16-levels", "C2xC2xC2xC2-16-levels", "C2xC2xC2-8-levels",
+        "C2-20-all", "C2xC2xC2-transfers", "C2-8-categories", "S3-6-all",
+        "C3-9-all"])
 def test_enumeration_guards(build, message):
     with pytest.raises(GuardExceededError, match=message):
         build()
