@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -42,11 +43,23 @@ def _group(spec: str) -> FiniteGroup:
     return FiniteGroup.from_json(path.read_text())
 
 
-def _emit(args, text: str):
+def _emit(args, export):
+    """Write an export, a string or `write(fh)` that streams one, to the
+    --output file, or to stdout ending on a newline.  A reader that closes
+    stdout early on a streamed export has all it wanted: exit 0."""
+    write = export if callable(export) else lambda fh: fh.write(export)
     if args.output:
-        Path(args.output).write_text(text)
+        with open(args.output, "w") as fh:
+            write(fh)
+    elif callable(export):
+        try:
+            export(sys.stdout)
+            print(flush=True)
+        except BrokenPipeError:
+            # the flush at exit then writes what is left to nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(export if export.endswith("\n") else export + "\n")
 
 
 def cmd_enumerate(args) -> int:
@@ -68,7 +81,7 @@ def cmd_enumerate(args) -> int:
     if args.format == "dot":
         _emit(args, poset.to_dot("nodes"))
     elif args.format == "json" or args.output:
-        _emit(args, poset.to_json())
+        _emit(args, poset.write_json)
     return EXIT_OK
 
 
@@ -174,13 +187,13 @@ def cmd_conn(args) -> int:
     failures = 0
     lines = []
     table = {}
-    for i_node in poset.nodes:
-        for j_node in poset.nodes:
+    prints = [fingerprint(node.value_key()) for node in poset.nodes]
+    for i_node, i_print in zip(poset.nodes, prints):
+        for j_node, j_print in zip(poset.nodes, prints):
             rep = conn_join_bound(i_node, j_node, poset)
             if not rep.holds:
                 failures += 1
-            key = f"{fingerprint(i_node.value_key())}*" \
-                  f"{fingerprint(j_node.value_key())}"
+            key = f"{i_print}*{j_print}"
             table[key] = {"holds": rep.holds,
                           "strict": [labels[k] for k in rep.strict_witnesses]}
             if rep.strict_witnesses:

@@ -7,6 +7,7 @@ by semi-naive evaluation, `closure_lattice` by Fast Close-by-One."""
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from functools import reduce
 from operator import and_, or_
@@ -205,18 +206,26 @@ class Poset:
     def labels(self) -> list:
         return [fingerprint(k) for k in self.keys]
 
-    def to_json(self) -> str:
-        """Compact JSON with sorted keys; the leq rows are written as text."""
+    def write_json(self, fh) -> None:
+        """Compact JSON with sorted keys, written to the text stream `fh`
+        one leq row at a time."""
         n = len(self.nodes)
-        # replace("", ",") puts a comma around every digit and [1:-1] drops
-        # the outer two; one f-string adds the brackets, so no row is copied
-        # twice (a copy per row raises the peak memory of a large export)
-        rows = ",".join(f"[{f'{u:0{n}b}'[::-1].replace('', ',')[1:-1]}]"
-                        for u in self.up)
+        fh.write('{"leq":[')
+        for i, u in enumerate(self.up):
+            # replace("", ",") puts a comma around every digit; the outer
+            # two give way to the row's brackets
+            row = f"{u:0{n}b}"[::-1].replace("", ",")
+            fh.write(f"{',' * (i > 0)}[{row[1:-1]}]")
         nodes = json.dumps([{"label": lab, "key": key}
                             for lab, key in zip(self.labels(), self.keys)],
                            sort_keys=True, separators=(",", ":"), default=str)
-        return f'{{"leq":[{rows}],"nodes":{nodes}}}'
+        fh.write(f'],"nodes":{nodes}}}')
+
+    def to_json(self) -> str:
+        """What `write_json` writes, as one string."""
+        fh = io.StringIO()
+        self.write_json(fh)
+        return fh.getvalue()
 
     def to_dot(self, name: str = "poset") -> str:
         """Hasse diagram: edges are covering relations only."""

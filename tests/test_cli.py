@@ -1,9 +1,14 @@
 """Command-line front end: exit codes, determinism, file formats."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import equialg
 from equialg.cli import main
 from equialg.magmas import (enumerate_interchanging_pairs, pair_to_json)
 
@@ -122,6 +127,8 @@ def test_enumerate_dot_output(tmp_path, capsys):
     assert code == 0
     text = out.read_text()
     assert text.startswith("digraph") and "->" in text
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "2e97824399ccdcbbe13095de89ea48558d91ee316464c065385947e6a0ea6dc4"
 
 
 def test_eh_check_pair_file_pass(tmp_path, capsys):
@@ -264,6 +271,69 @@ def test_conn_bytes_are_pinned(tmp_path, capsys, case):
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
     assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+
+
+# C2 `all` at cutoff 6: 3692 systems, a 27.7 MB JSON export
+WIDE = ["enumerate", "--group", "cyclic:2", "--cutoff", "6", "--filter", "all",
+        "--format", "json"]
+WIDE_SUMMARY = "C2: 3692 weak indexing systems (all) at cutoff 6\n"
+WIDE_SHA = "bb35296b08e676a849b36f15b2321b1a90b9d2552d4e6af896cfcb0e991a0f96"
+
+
+def test_json_export_bytes_are_pinned(tmp_path, capsys):
+    """The --output file, as written when the export was one string (the
+    file lattice-wide checks), and stdout: the summary, the file and a
+    newline."""
+    path = tmp_path / "lattice.json"
+    code, out, _ = run(capsys, *WIDE, "--output", str(path))
+    assert code == 0 and out == WIDE_SUMMARY
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_SHA
+    code, out, _ = run(capsys, *WIDE)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "4a9b9949a8f11e20250b4dfacc980573f1928b7614cf6e77cc249119c62cb1a0"
+    assert out == WIDE_SUMMARY + path.read_text() + "\n"
+
+
+def _python(*argv, **kwargs):
+    """`python ARGV` with this checkout's package on the path."""
+    src = str(Path(equialg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, *argv], env=env, **kwargs)
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_json_export_streams_to_its_file(tmp_path):
+    """Writing the export raises the peak memory of a run far less than
+    the 26.4 MiB it writes: the rows go to the file one at a time."""
+    # a process's ru_maxrss starts at the peak of the one that forked it,
+    # so each run is the child of a small interpreter that reads its peak
+    script = ("import resource, subprocess, sys; "
+              "subprocess.run([sys.executable, '-m', 'equialg.cli', "
+              "*sys.argv[1:]], stdout=subprocess.DEVNULL, check=True); "
+              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    peaks = []
+    for fmt in (["--format", "json", "--output", str(tmp_path / "l.json")],
+                ["--format", "text"]):
+        proc = _python("-c", script, *WIDE[:-2], *fmt, stdout=subprocess.PIPE)
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        peaks.append(int(out))
+    assert peaks[0] - peaks[1] < 8 * 1024
+
+
+def test_reader_closing_stdout_early_is_not_an_error():
+    """`enumerate ... --format json | head -c 200` ends with exit 0 and
+    nothing on stderr, as if the whole export had been read."""
+    proc = _python("-m", "equialg.cli", *WIDE, stdout=subprocess.PIPE,
+                   stderr=subprocess.PIPE)
+    head = proc.stdout.read(200)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert len(head) == 200 and err == b""
 
 
 def test_conn_ev_value(capsys):

@@ -1,6 +1,7 @@
 """The up-set-mask `Poset`, built from `leq` or by inclusion of masks,
 gated against the n-by-n order it replaced, and the Fast Close-by-One
 `closure_lattice` against the frontier search it replaced."""
+import io
 import json
 import operator
 import random
@@ -173,6 +174,9 @@ def test_order_queries_match_reference(pair):
 def test_exports_match_reference(pair):
     poset, ref, _ = pair
     assert poset.to_json() == ref.to_json()
+    buf = io.StringIO()
+    poset.write_json(buf)
+    assert buf.getvalue() == ref.to_json()
     assert poset.to_dot("p") == ref.to_dot("p")
 
 
