@@ -8,21 +8,23 @@ pullback-stable subcategory satisfying the summand condition is exactly a
 set of map classes determined by its admissible components.
 
 This module works with explicit map-class sets: a literal validity checker
-and closure (composition via matchings, pullback against arbitrary maps,
-summand splitting and assembly, all isomorphisms), an exhaustive
-enumeration at small scale, and the conversions to and from the system
-encoding of `indexing.py`.  Closure and enumeration run on the shared
-engine of `poset.close` and `poset.closure_lattice`, over int masks of
-class ids, with rules (`_Ops.rules`) built here from composites,
-pullbacks, summands and unions.  The two encodings' rules are computed by
-independent routines, so their agreement is a real check of the
-equivalence.
+and closure (composition, pullback against arbitrary maps, summand
+splitting and assembly, all isomorphisms), an exhaustive enumeration at
+small scale, and the conversions to and from the system encoding of
+`indexing.py`.  The pair operations of every class (composites where the
+codomain meets a domain, pullbacks over one codomain, summands, and the
+unions that fit the cutoff) are tables, `_Ops.operations`, built in one
+pass on first use; the checker reads them, and the closure rules
+`_Ops.rules` are read off them.  Closure and enumeration run on the
+shared engine of `poset.close` and `poset.closure_lattice`, over int masks
+of class ids.  The two encodings' rules are computed by independent
+routines, so their agreement is a real check of the equivalence.
 """
 from __future__ import annotations
 
 import operator
 from collections import defaultdict
-from itertools import permutations
+from functools import cached_property
 
 from .errors import (CheckReport, CutoffOverflowError, GuardExceededError,
                      ValidationError)
@@ -31,7 +33,7 @@ from .gsets import GSetMap
 from .indexing import (LevelTables, WeakIndexingSystem, close_system,
                        default_cutoff, f_complete, f_trivial, level_tables,
                        system_check)
-from .poset import Poset, _bits, _mask, close, closure_lattice
+from .poset import Poset, _bits, _mask, _union, close, closure_lattice
 
 GROUND_GUARD = 400  # map classes the category enumeration accepts
 UNIVERSE_GUARD = 100_000  # map classes the universe builds before it stops
@@ -142,16 +144,6 @@ def map_class_universe(tables: LevelTables) -> list:
 
 # -- the categorical operations on classes --------------------------------
 
-def _matchings(left, right):
-    """Distinct bijections left_i -> right_{perm(i)} between equal-size lists."""
-    seen = set()
-    for perm in permutations(range(len(right))):
-        assignment = tuple(right[p] for p in perm)
-        if assignment not in seen:
-            seen.add(assignment)
-            yield assignment
-
-
 def _transports(tables, src_level, dst_level, cid):
     """Distinct conjugation transports of a class between conjugate levels."""
     outs = set()
@@ -162,106 +154,85 @@ def _transports(tables, src_level, dst_level, cid):
     return sorted(outs)
 
 
+def _picks(left: tuple, base: int):
+    """Each distinct component of the sorted tuple `left` whose base is
+    `base`, with the tuple that is left without it."""
+    for i, comp in enumerate(left):
+        if comp[0] == base and (i == 0 or left[i - 1] != comp):
+            yield comp, left[:i] + left[i + 1:]
+
+
 def compose_classes(tables: LevelTables, c1: tuple, c2: tuple) -> set:
     """All classes of g∘f over representatives f in c1: T -> S, g in c2: S -> R.
 
-    A representative pairing matches the orbit slots of the fibers of c2
-    (the orbits of S) with the components of c1, type by type; each
-    matching assembles composite fibers as indexed coproducts.
+    The components of c1 (the fibers of f over the orbits of S) are dealt
+    to the orbit slots of the fibers of c2 one slot at a time, each moved
+    to its slot's subgroup by a conjugation; a state is the components
+    still to deal, the components of g∘f so far and the fiber being
+    filled, so the orders of dealing that agree are merged as they meet.
     """
     if cod_class(tables, c1) != dom_class(tables, c2):
         return set()
-    fibers_by_type = defaultdict(list)
-    for comp in c1:
-        fibers_by_type[comp[0]].append(comp)
-    slots_by_type = defaultdict(list)
-    for j, (h, cid) in enumerate(c2):
-        for k in tables.classes[h][cid]:
-            slots_by_type[tables.lat.class_rep(k)].append((j, k))
-    types = sorted(slots_by_type)
-    if sorted(fibers_by_type) != types:
-        raise tables.violation("middle orbit types differ", c1, c2)
-    per_type = [list(_matchings(slots_by_type[t], fibers_by_type[t]))
-                for t in types]
-    results = set()
-
-    def assemble(ti, chosen):
-        if ti == len(types):
-            # chosen: per type, fibers aligned with slots_by_type[type]
-            options = [[]]
-            for t, fibers in zip(types, chosen):
-                for (j, k), (rep, fid) in zip(slots_by_type[t], fibers):
-                    branches = _transports(tables, rep, k, fid)
-                    options = [opt + [(j, k, b)] for opt in options
-                               for b in branches]
-            for opt in options:
-                fibers_out = [list() for _ in c2]
-                for (j, k, fid_k) in opt:
-                    hj = c2[j][0]
-                    fibers_out[j].extend(tables.h_class_rep[hj][m]
-                                         for m in tables.classes[k][fid_k])
-                comps = []
-                for j, (hj, _) in enumerate(c2):
-                    cid = tables.encode(hj, tuple(fibers_out[j]))
-                    if cid is None:
-                        raise tables.violation("composite exceeds its level",
-                                               c1, c2, hj, fibers_out[j])
-                    comps.append(component(tables, hj, cid))
-                results.add(tuple(sorted(comps)))
-            return
-        for m in per_type[ti]:
-            assemble(ti + 1, chosen + [m])
-
-    assemble(0, [])
-    return results
+    states = {(tuple(sorted(c1)), (), ())}
+    for hj, cid in c2:
+        to_hj = tables.h_class_rep[hj]
+        for k in tables.classes[hj][cid]:
+            base = tables.lat.class_rep(k)
+            # each component that fits the slot, as the fibers it fills in
+            moves = {comp: [tuple(to_hj[m] for m in tables.classes[k][moved])
+                            for moved in _transports(tables, base, k, comp[1])]
+                     for comp in set(c1) if comp[0] == base}
+            states = {(rest, done, tuple(sorted(fiber + part)))
+                      for left, done, fiber in states
+                      for comp, rest in _picks(left, base)
+                      for part in moves[comp]}
+        filled = set()
+        for left, done, fiber in states:
+            fid = tables.encode(hj, fiber)
+            if fid is None:
+                raise tables.violation("composite exceeds its level",
+                                       c1, c2, hj, fiber)
+            comp = component(tables, hj, fid)
+            filled.add((left, tuple(sorted(done + (comp,))), ()))
+        states = filled
+    return {done for _, done, _ in states}
 
 
 def pullback_classes(tables: LevelTables, cf: tuple, cg: tuple) -> set:
     """All classes of the base change of cf: T -> S along cg: U -> S,
-    as maps (T x_S U) -> U.  Matchings pair the components of the two maps
-    over the shared codomain; unrepresentable pullbacks are skipped."""
+    as maps (T x_S U) -> U.  The components of cf are matched one at a
+    time with those of cg over the same base, each pair contributing the
+    restrictions of the fiber of cf to the orbits of the fiber of cg; a
+    state is the components of cf still to match, the pullback so far and
+    the size of its domain.  Unrepresentable pullbacks and those beyond
+    the cutoff are skipped."""
     if cod_class(tables, cf) != cod_class(tables, cg):
         return set()
-    f_by_type = defaultdict(list)
-    g_by_type = defaultdict(list)
-    for comp in cf:
-        f_by_type[comp[0]].append(comp)
-    for comp in cg:
-        g_by_type[comp[0]].append(comp)
-    types = sorted(f_by_type)
-    per_type = [list(_matchings(g_by_type[t], f_by_type[t])) for t in types]
-    results = set()
+    pieces = {(g, f): _base_change(tables, g, f)
+              for g in set(cg) for f in set(cf) if f[0] == g[0]}
+    states = {(tuple(sorted(cf)), (), 0)}
+    for g in sorted(cg):
+        states = {(rest, tuple(sorted(acc + comps)), size + more)
+                  for left, acc, size in states
+                  for f, rest in _picks(left, g[0])
+                  if pieces[g, f] is not None
+                  for more, comps in [pieces[g, f]]
+                  if size + more <= tables.cutoff}
+    return {acc for _, acc, _ in states}
 
-    def assemble(ti, acc, src_budget):
-        if ti == len(types):
-            results.add(tuple(sorted(acc)))
-            return
-        t = types[ti]
-        for m in per_type[ti]:
-            comps = list(acc)
-            budget = src_budget
-            ok = True
-            for (h, fid_g), (h2, fid_f) in zip(g_by_type[t], m):
-                if h != h2:
-                    raise tables.violation("matched bases differ", cf, cg, h, h2)
-                for k in tables.classes[h][fid_g]:
-                    rcid = tables.restrict_cls(h, k, fid_f)
-                    if rcid is None:
-                        ok = False
-                        break
-                    comp = component(tables, k, rcid)
-                    budget -= comp_sizes(tables, comp)[0]
-                    if budget < 0:
-                        ok = False
-                        break
-                    comps.append(comp)
-                if not ok:
-                    break
-            if ok:
-                assemble(ti + 1, comps, budget)
 
-    assemble(0, [], tables.cutoff)
-    return results
+def _base_change(tables, g: tuple, f: tuple):
+    """The pullback of the component f along the component g over the
+    same base orbit: (size of its domain, its components), or None if a
+    restriction is unrepresentable."""
+    (h, fid_g), (_, fid_f) = g, f
+    comps = []
+    for k in tables.classes[h][fid_g]:
+        rcid = tables.restrict_cls(h, k, fid_f)
+        if rcid is None:
+            return None
+        comps.append(component(tables, k, rcid))
+    return sum(comp_sizes(tables, c)[0] for c in comps), tuple(comps)
 
 
 def sub_multisets(mc: tuple) -> set:
@@ -274,9 +245,9 @@ def sub_multisets(mc: tuple) -> set:
 
 
 class _Ops:
-    """Interned map classes of one `LevelTables`, lazily cached pair
-    operations on their ids and the closure rules built from them.  Ids
-    follow the sorted universe, so sorting ids sorts the classes."""
+    """Interned map classes of one `LevelTables`, the tables of the pair
+    operations on their ids and the closure rules read off those tables.
+    Ids follow the sorted universe, so sorting ids sorts the classes."""
 
     def __init__(self, tables: LevelTables, universe: list):
         self.tables = tables
@@ -294,11 +265,6 @@ class _Ops:
         units = [self.id_of.get((component(tables, h, tables.empty(h)),))
                  for h in tables.lat.class_reps]
         self.units = [u for u in units if u is not None]
-        self._compose: dict = {}
-        self._pullback: dict = {}
-        self._subs: dict = {}
-        self._union: dict = {}
-        self._rules: dict = {}
 
     def core_mask(self, unital: bool) -> int:
         """The isomorphisms and, if `unital`, the units."""
@@ -312,38 +278,33 @@ class _Ops:
                 f"{exc.args[0]} is not a map class within cutoff "
                 f"{self.tables.cutoff}") from None
 
-    def compose(self, u: int, v: int):
-        if self.cod[u] != self.dom[v]:
-            return ()
-        key = (u, v)
-        if key not in self._compose:
-            out = compose_classes(self.tables, self.classes[u], self.classes[v])
-            self._compose[key] = tuple(sorted(self.id_of[m] for m in out))
-        return self._compose[key]
-
-    def pullback(self, u: int, v: int):
-        key = (u, v)
-        if key not in self._pullback:
-            out = pullback_classes(self.tables, self.classes[u], self.classes[v])
-            self._pullback[key] = tuple(sorted(self.id_of[m] for m in out))
-        return self._pullback[key]
-
-    def subs(self, u: int):
-        if u not in self._subs:
-            self._subs[u] = tuple(sorted(self.id_of[m]
-                                         for m in sub_multisets(self.classes[u])))
-        return self._subs[u]
-
-    def union(self, u: int, v: int) -> int:
-        key = (u, v) if u <= v else (v, u)
-        if key not in self._union:
-            merged = tuple(sorted(self.classes[u] + self.classes[v]))
-            src, dst = class_sizes(self.tables, merged)
-            if src <= self.tables.cutoff and dst <= self.tables.cutoff:
-                self._union[key] = self.id_of[merged]
-            else:
-                self._union[key] = -1
-        return self._union[key]
+    @cached_property
+    def operations(self) -> tuple:
+        """The pair operations on every class u, in one pass on first use:
+        its composites, (v, mask of the classes of v∘u) for each v whose
+        domain is the codomain of u; its pullbacks, (v, mask) along each v
+        to its codomain; the mask of its proper summands; and its unions,
+        (v, id of u + v) for each v whose disjoint union with u fits the
+        cutoff.  Partners ascend."""
+        t, mc, id_of = self.tables, self.classes, self.id_of
+        by_dom = defaultdict(list)
+        for v, d in enumerate(self.dom):
+            by_dom[d].append(v)
+        sizes = [class_sizes(t, c) for c in mc]
+        composites, pullbacks, summands, unions = [], [], [], []
+        for u, c in enumerate(mc):
+            composites.append([
+                (v, _mask(id_of[m] for m in compose_classes(t, c, mc[v])))
+                for v in by_dom[self.cod[u]]])
+            pullbacks.append([
+                (v, _mask(id_of[m] for m in pullback_classes(t, c, mc[v])))
+                for v in self.by_cod[self.cod[u]]])
+            summands.append(_mask(id_of[m] for m in sub_multisets(c)))
+            src, dst = sizes[u]
+            unions.append([(v, id_of[tuple(sorted(c + mc[v]))])
+                           for v, (s, d) in enumerate(sizes)
+                           if src + s <= t.cutoff and dst + d <= t.cutoff])
+        return composites, pullbacks, summands, unions
 
     def rules(self, u: int):
         """The closure rules of class u, as bitmasks over ids: the classes
@@ -351,20 +312,20 @@ class _Ops:
         codomain), the mask of partners v that force something together
         with u, and per partner (keyed by its one-bit mask) the classes the
         pair forces (composites in both orders and the disjoint union)."""
-        if u not in self._rules:
-            unary = _mask(self.subs(u))
-            for g in self.by_cod[self.cod[u]]:
-                unary |= _mask(self.pullback(u, g))
-            forced = {}
-            for v in range(len(self.classes)):
-                out = _mask(self.compose(u, v)) | _mask(self.compose(v, u))
-                w = self.union(u, v)
-                if w >= 0:
-                    out |= 1 << w
-                if out:
-                    forced[1 << v] = out
-            self._rules[u] = (unary, sum(forced), forced)
         return self._rules[u]
+
+    @cached_property
+    def _rules(self) -> list:
+        composites, pullbacks, summands, unions = self.operations
+        forced = [defaultdict(int) for _ in self.classes]
+        for u, (after, joins) in enumerate(zip(composites, unions)):
+            for v, m in after:
+                forced[u][1 << v] |= m
+                forced[v][1 << u] |= m
+            for v, w in joins:
+                forced[u][1 << v] |= 1 << w
+        return [(_union(m for _, m in bases) | subs, sum(f), dict(f))
+                for bases, subs, f in zip(pullbacks, summands, forced)]
 
 
 def _ops_for(tables: LevelTables) -> _Ops:
@@ -385,25 +346,25 @@ def is_weak_indexing_category(tables: LevelTables, classes) -> CheckReport:
     for u in ops.isos:
         if u not in ids:
             return CheckReport(False, "wide", mc[u], "missing an isomorphism class")
+    composites, pullbacks, summands, unions = ops.operations
     pool = sorted(ids)
     for u in pool:
-        for v in pool:
-            for w in ops.compose(u, v):
-                if w not in ids:
+        for v, m in composites[u]:
+            for w in _bits(m):
+                if v in ids and w not in ids:
                     return CheckReport(False, "composition", (mc[u], mc[v], mc[w]))
     for u in pool:
-        for v in ops.by_cod[ops.cod[u]]:
-            for w in ops.pullback(u, v):
+        for v, m in pullbacks[u]:
+            for w in _bits(m):
                 if w not in ids:
                     return CheckReport(False, "pullback", (mc[u], mc[v], mc[w]))
     for u in pool:
-        for w in ops.subs(u):
+        for w in _bits(summands[u]):
             if w not in ids:
                 return CheckReport(False, "summand-split", (mc[u], mc[w]))
     for u in pool:
-        for v in pool:
-            w = ops.union(u, v)
-            if w >= 0 and w not in ids:
+        for v, w in unions[u]:
+            if v in ids and w not in ids:
                 return CheckReport(False, "summand-assemble", (mc[u], mc[v], mc[w]))
     return CheckReport(True)
 
@@ -458,9 +419,6 @@ class WeakIndexingCategory:
 
     def contains_class(self, mc: tuple) -> bool:
         return all(comp in self.components for comp in mc)
-
-    def contains(self, f: GSetMap) -> bool:
-        return self.contains_class(map_class_of(self.tables, f))
 
     def map_classes(self) -> frozenset:
         """The map classes within the cutoff that lie in this category."""

@@ -243,20 +243,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eh = sub.add_parser("eh-check", help="Eckmann-Hilton verification")
     options(p_eh, "--output", "--norm-axiom")
-    p_eh.add_argument("--pair", default=None, help="pair JSON file")
-    p_eh.add_argument("--sweep", nargs=2, type=int, metavar=("MAX_E", "MAX_G"))
+    eh_mode = p_eh.add_mutually_exclusive_group()
+    eh_mode.add_argument("--pair", default=None, help="pair JSON file")
+    eh_mode.add_argument("--sweep", nargs=2, type=int,
+                         metavar=("MAX_E", "MAX_G"))
     p_eh.add_argument("--p", type=int, default=2)
 
     p_conn = sub.add_parser("conn", help="connectivity reports")
     options(p_conn, "--group", "--cutoff", "--output")
-    p_conn.add_argument("--all-pairs", action="store_true")
-    p_conn.add_argument("--nodes", nargs=2, metavar=("I", "J"),
-                        help="two node fingerprints (or trivial/complete)")
-    p_conn.add_argument("--ev", nargs=2, type=int, metavar=("A", "B"))
+    conn_mode = p_conn.add_mutually_exclusive_group()
+    conn_mode.add_argument("--all-pairs", action="store_true")
+    conn_mode.add_argument("--nodes", nargs=2, metavar=("I", "J"),
+                           help="two node fingerprints (or trivial/complete)")
+    conn_mode.add_argument("--ev", nargs=2, type=int, metavar=("A", "B"))
+    conn_mode.add_argument("--ev-witness", nargs=2, type=int,
+                           metavar=("A_PRIME", "B"))
     p_conn.add_argument("--set", dest="ev_set", default=None)
     p_conn.add_argument("--level", default="G", choices=["e", "G"])
-    p_conn.add_argument("--ev-witness", nargs=2, type=int,
-                        metavar=("A_PRIME", "B"))
     return parser
 
 

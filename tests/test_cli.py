@@ -359,6 +359,19 @@ def test_conn_missing_mode_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["conn", "--all-pairs", "--nodes", "trivial", "complete"],
+    ["conn", "--ev", "1", "1", "--set", "2", "--all-pairs"],
+    ["conn", "--nodes", "trivial", "complete", "--ev-witness", "2", "2"],
+    ["conn", "--ev", "1", "1", "--ev-witness", "2", "2"],
+    ["eh-check", "--pair", "pair.json", "--sweep", "1", "1"]])
+def test_conflicting_modes_are_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_conn_ev_non_integer_set_exit_1(capsys):
     code, _, err = run(capsys, "conn", "--ev", "1", "2", "--set", "2,x")
     assert code == 1 and err.startswith("error:")

@@ -1,5 +1,6 @@
 """Weak indexing systems and categories, transfer systems, enumeration."""
 import gc
+import hashlib
 import os
 import random
 import subprocess
@@ -7,7 +8,7 @@ import sys
 import textwrap
 import weakref
 from collections import defaultdict
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,10 +18,13 @@ import equialg
 from equialg import (GuardExceededError, ValidationError, cyclic_group,
                      direct_product, trivial_group)
 from equialg.category import (WeakIndexingCategory, _ops_for, _transports,
-                              close_category, component, enumerate_categories,
+                              class_sizes, close_category, comp_sizes,
+                              component, compose_classes, cod_class,
+                              dom_class, enumerate_categories,
                               generate_category, i_complete, i_trivial,
                               is_weak_indexing_category, iso_classes,
-                              map_class_of, map_class_universe)
+                              map_class_of, map_class_universe,
+                              pullback_classes, sub_multisets)
 from equialg.errors import CutoffOverflowError
 from equialg.groups import FiniteGroup, Subgroup, subgroup_lattice
 from equialg.gsets import GSet, GSetMap, orbit_projection, terminal_map
@@ -526,6 +530,231 @@ def test_category_enumeration_nodes_are_valid_and_segal_structured():
     for n in pc.nodes:
         wic = WeakIndexingCategory.from_map_classes(t, n)
         assert wic.map_classes() == n
+
+
+CATEGORY_JSON_SHA256 = {
+    (C2, 4, "all"):
+        "0c0f824880a6f4212772ecc3db6592cbd58f1e3851d9d5f1c7927bc64d546916",
+    (C2, 4, "unital"):
+        "f307322d8220b216817edbc1568a4978c8d42bec444669e087b750129c1436af",
+    (C2, 4, "almost_unital"):
+        "fd26e1f85a7dce281e2c00411e9e8b0c7329db0e0e8c834c88b1d9b2727e3358",
+    (C4, 4, "all"):
+        "0b381cb600e88091c0b54862e65d664aaa6546ac3bcb93cc86b33fc0a150ab0e"}
+
+
+@pytest.mark.parametrize("group, cutoff, which", list(CATEGORY_JSON_SHA256),
+                         ids=["C2@4-all", "C2@4-unital", "C2@4-almost_unital",
+                              "C4@4-all"])
+def test_category_json_export_is_pinned(group, cutoff, which):
+    text = enumerate_categories(group, cutoff, which).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        CATEGORY_JSON_SHA256[group, cutoff, which]
+
+
+# -- the map-class operations against the recursive references -------------
+
+def reference_matchings(left, right):
+    """Distinct bijections left_i -> right_{perm(i)} between equal-size lists."""
+    seen = set()
+    for perm in permutations(range(len(right))):
+        assignment = tuple(right[p] for p in perm)
+        if assignment not in seen:
+            seen.add(assignment)
+            yield assignment
+
+
+def reference_compose_classes(tables, c1, c2):
+    """Composites by the recursion over per-type matchings that
+    `compose_classes` replaced: every matching of fibers with slots, every
+    transport of each fiber, assembled whole."""
+    if cod_class(tables, c1) != dom_class(tables, c2):
+        return set()
+    fibers_by_type = defaultdict(list)
+    for comp in c1:
+        fibers_by_type[comp[0]].append(comp)
+    slots_by_type = defaultdict(list)
+    for j, (h, cid) in enumerate(c2):
+        for k in tables.classes[h][cid]:
+            slots_by_type[tables.lat.class_rep(k)].append((j, k))
+    types = sorted(slots_by_type)
+    assert sorted(fibers_by_type) == types
+    per_type = [list(reference_matchings(slots_by_type[t], fibers_by_type[t]))
+                for t in types]
+    results = set()
+
+    def assemble(ti, chosen):
+        if ti == len(types):
+            options = [[]]
+            for t, fibers in zip(types, chosen):
+                for (j, k), (rep, fid) in zip(slots_by_type[t], fibers):
+                    branches = _transports(tables, rep, k, fid)
+                    options = [opt + [(j, k, b)] for opt in options
+                               for b in branches]
+            for opt in options:
+                fibers_out = [list() for _ in c2]
+                for (j, k, fid_k) in opt:
+                    hj = c2[j][0]
+                    fibers_out[j].extend(tables.h_class_rep[hj][m]
+                                         for m in tables.classes[k][fid_k])
+                comps = []
+                for j, (hj, _) in enumerate(c2):
+                    cid = tables.encode(hj, tuple(fibers_out[j]))
+                    assert cid is not None
+                    comps.append(component(tables, hj, cid))
+                results.add(tuple(sorted(comps)))
+            return
+        for m in per_type[ti]:
+            assemble(ti + 1, chosen + [m])
+
+    assemble(0, [])
+    return results
+
+
+def reference_pullback_classes(tables, cf, cg):
+    """Pullbacks by the recursion over per-type matchings that
+    `pullback_classes` replaced, each matching assembled whole."""
+    if cod_class(tables, cf) != cod_class(tables, cg):
+        return set()
+    f_by_type = defaultdict(list)
+    g_by_type = defaultdict(list)
+    for comp in cf:
+        f_by_type[comp[0]].append(comp)
+    for comp in cg:
+        g_by_type[comp[0]].append(comp)
+    types = sorted(f_by_type)
+    per_type = [list(reference_matchings(g_by_type[t], f_by_type[t]))
+                for t in types]
+    results = set()
+
+    def assemble(ti, acc, src_budget):
+        if ti == len(types):
+            results.add(tuple(sorted(acc)))
+            return
+        t = types[ti]
+        for m in per_type[ti]:
+            comps = list(acc)
+            budget = src_budget
+            ok = True
+            for (h, fid_g), (h2, fid_f) in zip(g_by_type[t], m):
+                assert h == h2
+                for k in tables.classes[h][fid_g]:
+                    rcid = tables.restrict_cls(h, k, fid_f)
+                    if rcid is None:
+                        ok = False
+                        break
+                    comp = component(tables, k, rcid)
+                    budget -= comp_sizes(tables, comp)[0]
+                    if budget < 0:
+                        ok = False
+                        break
+                    comps.append(comp)
+                if not ok:
+                    break
+            if ok:
+                assemble(ti + 1, comps, budget)
+
+    assemble(0, [], tables.cutoff)
+    return results
+
+
+def reference_map_rules(ops, composites, pullbacks):
+    """Every class's rules by the lazy per-class scan that the one-pass
+    tables replaced: per class u, its summands and its pullbacks along
+    every map to its codomain, then a scan of every class v for the
+    composites in both orders and the union.  `composites` and `pullbacks`
+    map each matched pair (u, v) to its classes."""
+    t, mc, id_of = ops.tables, ops.classes, ops.id_of
+
+    def compose(u, v):
+        return _mask(id_of[m] for m in composites.get((u, v), ()))
+
+    def union(u, v):
+        merged = tuple(sorted(mc[u] + mc[v]))
+        src, dst = class_sizes(t, merged)
+        return (1 << id_of[merged] if src <= t.cutoff and dst <= t.cutoff
+                else 0)
+
+    rules = []
+    for u in range(len(mc)):
+        unary = _mask(id_of[m] for m in sub_multisets(mc[u]))
+        for g in ops.by_cod[ops.cod[u]]:
+            unary |= _mask(id_of[m] for m in pullbacks[u, g])
+        forced = {}
+        for v in range(len(mc)):
+            out = compose(u, v) | compose(v, u) | union(u, v)
+            if out:
+                forced[1 << v] = out
+        rules.append((unary, sum(forced), forced))
+    return rules
+
+
+def _matched_pairs(ops):
+    """The (u, v) that compose (codomain of u is the domain of v) and the
+    (u, v) with a pullback (one codomain)."""
+    n = range(len(ops.classes))
+    return ([(u, v) for u in n for v in n if ops.cod[u] == ops.dom[v]],
+            [(u, v) for u in n for v in ops.by_cod[ops.cod[u]]])
+
+
+@pytest.mark.parametrize("group, cutoff", [
+    (C2, 3), (C2, 4), (C2, 5), (cyclic_group(3), 3), (C4, 4),
+    (direct_product(C2, C2), 4)],
+    ids=["C2@3", "C2@4", "C2@5", "C3@3", "C4@4", "C2xC2@4"])
+def test_one_pass_map_tables_match_the_references(group, cutoff):
+    """On every matched pair the operations equal the recursions they
+    replaced, and every class's one-pass rules equal the lazy scan."""
+    t = level_tables(group, cutoff)
+    ops = _ops_for(t)
+    mc = ops.classes
+    composable, over_one_cod = _matched_pairs(ops)
+    composites = {(u, v): reference_compose_classes(t, mc[u], mc[v])
+                  for u, v in composable}
+    pullbacks = {(u, v): reference_pullback_classes(t, mc[u], mc[v])
+                 for u, v in over_one_cod}
+    for (u, v), out in composites.items():
+        assert compose_classes(t, mc[u], mc[v]) == out
+    for (u, v), out in pullbacks.items():
+        assert pullback_classes(t, mc[u], mc[v]) == out
+    assert [ops.rules(u) for u in range(len(mc))] == \
+        reference_map_rules(ops, composites, pullbacks)
+
+
+def test_map_class_operations_match_the_recursion_on_s3():
+    """A sample of the pairs of non-abelian S3 at cutoff 6, where a fiber
+    can move into its slot by more than one conjugation; all 1269 classes'
+    rules take too long for this suite."""
+    t = level_tables(s3_group(), 6)
+    ops = _ops_for(t)
+    mc = ops.classes
+    composable, over_one_cod = _matched_pairs(ops)
+    rng = random.Random(6)
+    for u, v in rng.sample(composable, 150):
+        assert compose_classes(t, mc[u], mc[v]) == \
+            reference_compose_classes(t, mc[u], mc[v])
+    for u, v in rng.sample(over_one_cod, 150):
+        assert pullback_classes(t, mc[u], mc[v]) == \
+            reference_pullback_classes(t, mc[u], mc[v])
+
+
+def test_map_tables_compute_each_matched_pair_once(monkeypatch):
+    """The one-pass tables call `compose_classes` once per pair that
+    composes and `pullback_classes` once per pair over one codomain."""
+    import equialg.category
+    t = LevelTables(C2, 4)
+    ops = _ops_for(t)
+    calls = {"compose": [], "pullback": []}
+    for name, real in [("compose", compose_classes),
+                       ("pullback", pullback_classes)]:
+        monkeypatch.setattr(
+            equialg.category, f"{name}_classes",
+            lambda t, a, b, log=calls[name], real=real:
+            log.append((ops.id_of[a], ops.id_of[b])) or real(t, a, b))
+    ops.rules(0)
+    composable, over_one_cod = _matched_pairs(ops)
+    assert sorted(calls["compose"]) == composable and len(composable) == 1533
+    assert sorted(calls["pullback"]) == over_one_cod and \
+        len(over_one_cod) == 1962
 
 
 def d8_group():
