@@ -19,9 +19,7 @@ from .errors import (CutoffOverflowError, GuardExceededError,
 from .groups import FiniteGroup, cyclic_group
 from .indexing import (ALL_LEVEL_GUARD, LEVEL_GUARD, default_cutoff,
                        enumerate_systems, enumerate_transfer_systems)
-from .magmas import (eckmann_hilton, enumerate_interchanging_pairs,
-                     enumerate_semi_mackey, pair_from_json,
-                     pair_of_semi_mackey, canonical_pair_key)
+from .magmas import eckmann_hilton, pair_from_json, sweep
 from .poset import LATTICE_GUARD, fingerprint
 
 EXIT_OK = 0
@@ -99,13 +97,10 @@ def cmd_eh_check(args) -> int:
     if args.sweep is None:
         raise ValidationError("eh-check needs --pair or --sweep")
     (max_e, max_g), p = args.sweep, args.p
-    pairs = enumerate_interchanging_pairs(p, max_e, max_g,
-                                          norm_axiom=args.norm_axiom)
-    for pair in pairs:
-        eckmann_hilton(pair, norm_axiom=args.norm_axiom)
-    sms = enumerate_semi_mackey(p, max_e, max_g)
-    pair_keys = sorted(canonical_pair_key(q) for q in pairs)
-    sm_keys = sorted(canonical_pair_key(pair_of_semi_mackey(s)) for s in sms)
+    pairs, sms = sweep(p, max_e, max_g, norm_axiom=args.norm_axiom)
+    pair_keys, sm_keys = sorted(pairs), sorted(sms)
+    for k in pair_keys:
+        eckmann_hilton(pairs[k], norm_axiom=args.norm_axiom)
     bijection = pair_keys == sm_keys if args.norm_axiom else \
         set(pair_keys) <= set(sm_keys)
     print(f"sweep p={p} bounds ({max_e},{max_g}): {len(pairs)} interchanging "

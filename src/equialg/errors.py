@@ -47,9 +47,10 @@ class CheckReport:
 
 
 def require_ints(value, what: str):
-    """Raise ValidationError unless `value` is an int or a nested list of
-    ints.  A bool or a float (even 1.0) is rejected, never truncated."""
-    if isinstance(value, list):
+    """Raise ValidationError unless `value` is an int or a nested list or
+    tuple of ints.  A bool or a float (even 1.0) is rejected, never
+    truncated."""
+    if isinstance(value, (list, tuple)):
         for x in value:
             require_ints(x, what)
     elif type(value) is not int:

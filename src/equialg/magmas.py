@@ -16,15 +16,17 @@ coincide, and their common structure passes `semi_mackey_check`) and raises
 checks binary interchange only; the p×p grid law follows (see its proof).
 
 The two exhaustive sweeps, of interchanging pairs and of semi-Mackey
-functors, draw their candidates from one generator, `_candidates`, which
-also holds their one guard: a non-prime p is a `ValidationError`, and p > 3
-or a carrier larger than `SWEEP_GUARD` is a `GuardExceededError`.  It
-prunes on the four non-unit axioms of `_structure_report`, which both full
-checks share, and, where the action is trivial, on r(t(x)) = x^p, which
-both readings and the double coset law demand there; the pair sweep checks
-interchange only between magmas with transposed tables.  Both sweeps
-return what generate-and-test returns, in the same order (see
-`_candidates` and `enumerate_interchanging_pairs`).
+functors, are the two halves of one walk, `sweep`, over one generator,
+`_candidates`, which holds their one guard: a non-prime p is a
+`ValidationError`, and p > 3 or a carrier larger than `SWEEP_GUARD` is a
+`GuardExceededError`.  It prunes on the four non-unit axioms of
+`_structure_report`, which both full checks share, and, where the action
+is trivial, on r(t(x)) = x^p, which both readings and the double coset law
+demand there.  The pair half checks interchange only between magmas with
+transposed tables; the functor half runs `semi_mackey_check` only where
+both tables are commutative monoids, which that check demands at both
+levels.  Each half returns what generate-and-test returns, in the same
+order, and neither reads the other (see `_candidates` and `sweep`).
 """
 from __future__ import annotations
 
@@ -60,8 +62,8 @@ class CoefficientSystem:
     def __init__(self, p, size_e, sigma, size_g, r):
         if not _is_prime(p):
             raise ValidationError("p must be prime")
-        sigma = tuple(int(x) for x in sigma)
-        r = tuple(int(x) for x in r)
+        sigma, r = tuple(sigma), tuple(r)
+        require_ints((sigma, r), "generator action and r")
         if sorted(sigma) != list(range(size_e)):
             raise ValidationError("generator action must be a permutation")
         if _perm_power(sigma, p) != tuple(range(size_e)):
@@ -92,7 +94,8 @@ class CoefficientSystem:
 
 
 def _table(raw, n):
-    tab = tuple(tuple(map(int, row)) for row in raw)
+    tab = tuple(tuple(row) for row in raw)
+    require_ints(tab, "operation table")
     if len(tab) != n or any(len(row) != n for row in tab):
         raise ValidationError("operation table must be square")
     if any(not 0 <= x < n for row in tab for x in row):
@@ -119,14 +122,22 @@ class _TwoLevelStructure:
         ne, ng = base.size_e, base.size_g
         self.base = base
         self.mul_e = _table(mul_e, ne)
-        self.unit_e = int(unit_e)
         self.mul_g = _table(mul_g, ng)
-        self.unit_g = int(unit_g)
-        self.t = tuple(int(x) for x in t)
+        self.unit_e, self.unit_g, self.t = unit_e, unit_g, tuple(t)
+        require_ints((unit_e, unit_g, self.t), "units and t")
         if not (0 <= self.unit_e < ne and 0 <= self.unit_g < ng):
             raise ValidationError("units must lie in their carriers")
         if len(self.t) != ne or any(not 0 <= x < ng for x in self.t):
             raise ValidationError("t must map level e to level G")
+
+    @classmethod
+    def _trusted(cls, base, mul_e, mul_g, t):
+        """Units 0 and tables as `_candidates` makes them, in-range tuples
+        of ints already: the slots are set with no check."""
+        s = object.__new__(cls)
+        s.base, s.mul_e, s.mul_g, s.t = base, mul_e, mul_g, t
+        s.unit_e = s.unit_g = 0
+        return s
 
     def key(self):
         return (self.base.key(), self.mul_e, self.unit_e, self.mul_g,
@@ -591,21 +602,46 @@ def canonical_pair_key(pair: InterchangePair) -> tuple:
     return best
 
 
-def enumerate_interchanging_pairs(p, max_e, max_g, norm_axiom=False) -> list:
-    """All interchanging pairs with carrier sizes up to the bounds, one per
-    isomorphism class of pairs, in canonical order.
+def _is_commutative_monoid(mul):
+    """Is a table with unit 0 commutative and associative?"""
+    n = range(len(mul))
+    return all(mul[x][y] == mul[y][x]
+               and all(mul[mul[x][y]][z] == mul[x][mul[y][z]] for z in n)
+               for x in n for y in n)
 
-    With both units 0, the instance a = z = 0 of the binary interchange
-    reads bullet(x, y) = star(y, x) at both levels, so each valid magma is
+
+def sweep(p, max_e, max_g, norm_axiom=False):
+    """Both exhaustive sweeps in one walk of `_candidates`, one member per
+    isomorphism class each: the interchanging pairs under the reading
+    `norm_axiom` picks, and the semi-Mackey functors.  Returns two dicts
+    keyed by `canonical_pair_key` (of a functor's doubled pair), each
+    holding the first candidate of a class in stream order.
+
+    Pair half: `validate_magma` on every candidate.  With both units 0,
+    the instance a = z = 0 of the binary interchange reads
+    bullet(x, y) = star(y, x) at both levels, so each valid magma is
     checked only against those of its base with the transposed tables, in
-    the order of the all-pairs loop: the pair kept per class is the same."""
-    found = {}
+    the order of the all-pairs loop: the pair kept per class is the same.
+
+    Functor half: `semi_mackey_check` on every candidate whose mul_e and
+    mul_g are commutative monoids, decided once per distinct table; the
+    check demands that at both levels, so a skipped candidate fails it."""
+    pairs, functors = {}, {}
+    monoid = {}
     for base, group in groupby(_candidates(p, max_e, max_g), itemgetter(0)):
         valid = []
         for _, mul_e, mul_g, t in group:
-            m = CpUnitalMagma(base, mul_e, 0, mul_g, 0, t, validate=False)
+            m = CpUnitalMagma._trusted(base, mul_e, mul_g, t)
             if validate_magma(m, norm_axiom=norm_axiom):
                 valid.append(m)
+            for mul in (mul_e, mul_g):
+                if mul not in monoid:
+                    monoid[mul] = _is_commutative_monoid(mul)
+            if monoid[mul_e] and monoid[mul_g]:
+                sm = SemiMackeyFunctor._trusted(base, mul_e, mul_g, t)
+                if semi_mackey_check(sm):
+                    functors.setdefault(
+                        canonical_pair_key(pair_of_semi_mackey(sm)), sm)
         by_tables = {}
         for m in valid:
             by_tables.setdefault((m.mul_e, m.mul_g), []).append(m)
@@ -614,19 +650,23 @@ def enumerate_interchanging_pairs(p, max_e, max_g, norm_axiom=False) -> list:
                                      tuple(zip(*m1.mul_g))), ()):
                 pair = InterchangePair(m1, m2)
                 if check_interchange(pair, norm_axiom=norm_axiom):
-                    found.setdefault(canonical_pair_key(pair), pair)
-    return [found[k] for k in sorted(found)]
+                    pairs.setdefault(canonical_pair_key(pair), pair)
+    return pairs, functors
+
+
+def enumerate_interchanging_pairs(p, max_e, max_g, norm_axiom=False) -> list:
+    """The pair half of `sweep`, in canonical order."""
+    pairs = sweep(p, max_e, max_g, norm_axiom=norm_axiom)[0]
+    return [pairs[k] for k in sorted(pairs)]
 
 
 def enumerate_semi_mackey(p, max_e, max_g) -> list:
-    """All semi-Mackey functors with carrier sizes up to the bounds, one
-    per isomorphism class, in canonical order (independent enumeration)."""
-    found = {}
-    for base, mul_e, mul_g, t in _candidates(p, max_e, max_g):
-        sm = SemiMackeyFunctor(base, mul_e, 0, mul_g, 0, t, validate=False)
-        if semi_mackey_check(sm):
-            found.setdefault(canonical_pair_key(pair_of_semi_mackey(sm)), sm)
-    return [found[k] for k in sorted(found)]
+    """The functor half of `sweep` (one walk, both halves), in canonical
+    order.  It checks only candidates whose tables are commutative monoids,
+    since `semi_mackey_check` demands them at both levels, and is
+    independent of the pair check."""
+    functors = sweep(p, max_e, max_g)[1]
+    return [functors[k] for k in sorted(functors)]
 
 
 def pair_homs(a: InterchangePair, b: InterchangePair) -> list:

@@ -273,6 +273,37 @@ def test_conn_bytes_are_pinned(tmp_path, capsys, case):
     assert hashlib.sha256(out.encode()).hexdigest() == out_sha
 
 
+# eh-check --sweep 3 3: (p, reading) -> SHA-256 of the --output file and of
+# stdout; the p = 2 literal reading is the eh-sweep workload
+EH_SWEEP_BYTES = {
+    (2, ""): (
+        "af8261004fead506100292ec4ed200b6a4d05824cdcfe786c99d936ea90bc233",
+        "673fc3017e93ad66e34685c25b19c6bd5b61eb3159a2f88e42d68fed18bca01e"),
+    (2, "--norm-axiom"): (
+        "55453db0fab122f5ed55345b2893e96ccd59e79cce754e3b6b7e0600d5b404a4",
+        "c49f3d3791d2fadc06a309eb4aee395f395fdee62c7d81b482f3ecbb21dcaaa8"),
+    (3, ""): (
+        "5119e0a2c960860e22daa8ebd99eae2064d6470d41a4baa7b61ee2a688fbce2e",
+        "faf7c648e8f2120f2911338f2ac14d62eff66929e0f036371ee33615040dac8d"),
+    (3, "--norm-axiom"): (
+        "5119e0a2c960860e22daa8ebd99eae2064d6470d41a4baa7b61ee2a688fbce2e",
+        "faf7c648e8f2120f2911338f2ac14d62eff66929e0f036371ee33615040dac8d"),
+}
+
+
+@pytest.mark.parametrize("p, reading", list(EH_SWEEP_BYTES),
+                         ids=lambda v: str(v).strip("-") or "literal")
+def test_eh_check_sweep_bytes_are_pinned(tmp_path, capsys, p, reading):
+    file_sha, out_sha = EH_SWEEP_BYTES[p, reading]
+    path = tmp_path / "sweep.json"
+    argv = ["eh-check", "--sweep", "3", "3", "--p", str(p),
+            "--output", str(path)] + ([reading] if reading else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+
+
 # C2 `all` at cutoff 6: 3692 systems, a 27.7 MB JSON export
 WIDE = ["enumerate", "--group", "cyclic:2", "--cutoff", "6", "--filter", "all",
         "--format", "json"]

@@ -3,7 +3,8 @@ import os
 import subprocess
 import sys
 import textwrap
-from itertools import permutations, product
+from itertools import groupby, permutations, product
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from equialg.magmas import (CoefficientSystem, CpUnitalMagma, InterchangePair,
                             is_homomorphism, nested_product,
                             pair_from_json, pair_homs, pair_of_semi_mackey,
                             pair_to_json, semi_mackey_check, semi_mackey_homs,
-                            validate_magma)
+                            sweep, validate_magma)
 
 Z2 = ((0, 1), (1, 0))
 Z4 = tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4))
@@ -511,6 +512,101 @@ def test_rt_prune_drops_only_what_every_full_check_rejects(box, kept, total):
         assert not semi_mackey_check(sm)
 
 
+def _reference_interchanging_pairs(p, max_e, max_g, norm_axiom=False):
+    """The pair sweep as its own walk of `_candidates`, each candidate
+    built by the validating constructor: `sweep`'s pair half must equal
+    it."""
+    found = {}
+    for base, group in groupby(equialg.magmas._candidates(p, max_e, max_g),
+                               itemgetter(0)):
+        valid = []
+        for _, mul_e, mul_g, t in group:
+            m = CpUnitalMagma(base, mul_e, 0, mul_g, 0, t, validate=False)
+            if validate_magma(m, norm_axiom=norm_axiom):
+                valid.append(m)
+        by_tables = {}
+        for m in valid:
+            by_tables.setdefault((m.mul_e, m.mul_g), []).append(m)
+        for m1 in valid:
+            for m2 in by_tables.get((tuple(zip(*m1.mul_e)),
+                                     tuple(zip(*m1.mul_g))), ()):
+                pair = InterchangePair(m1, m2)
+                if check_interchange(pair, norm_axiom=norm_axiom):
+                    found.setdefault(canonical_pair_key(pair), pair)
+    return [found[k] for k in sorted(found)]
+
+
+def _reference_semi_mackey(p, max_e, max_g):
+    """The functor sweep as its own walk of `_candidates`, with
+    `semi_mackey_check` on every candidate: `sweep`'s functor half must
+    equal it."""
+    found = {}
+    for base, mul_e, mul_g, t in equialg.magmas._candidates(p, max_e, max_g):
+        sm = SemiMackeyFunctor(base, mul_e, 0, mul_g, 0, t, validate=False)
+        if semi_mackey_check(sm):
+            found.setdefault(canonical_pair_key(pair_of_semi_mackey(sm)), sm)
+    return [found[k] for k in sorted(found)]
+
+
+SWEEP_BOXES = [(p, e, g) for p in (2, 3)
+               for e, g in [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)]]
+
+
+@pytest.mark.parametrize("norm_axiom", [False, True])
+@pytest.mark.parametrize("box", SWEEP_BOXES,
+                         ids=lambda box: "p{}-{}x{}".format(*box))
+def test_one_walk_halves_equal_the_separate_sweeps(box, norm_axiom):
+    pairs, functors = sweep(*box, norm_axiom=norm_axiom)
+    assert [pairs[k].key() for k in sorted(pairs)] == \
+        [q.key() for q in _reference_interchanging_pairs(*box, norm_axiom)]
+    assert [functors[k].key() for k in sorted(functors)] == \
+        [s.key() for s in _reference_semi_mackey(*box)]
+    assert sorted(pairs) == [canonical_pair_key(q) for q in
+                             enumerate_interchanging_pairs(*box, norm_axiom)]
+    assert sorted(functors) == [canonical_pair_key(pair_of_semi_mackey(s))
+                                for s in enumerate_semi_mackey(*box)]
+
+
+@pytest.mark.parametrize("box, candidates, checked", [
+    ((2, 3, 3), 2746, 163), ((3, 3, 3), 400, 88)], ids=["p2-3x3", "p3-3x3"])
+def test_monoid_prefilter_skips_only_what_semi_mackey_check_rejects(
+        monkeypatch, box, candidates, checked):
+    """The functor half sends to `semi_mackey_check` an ordered
+    subsequence of the stream, and every candidate it skips fails that
+    check."""
+    seen = []
+
+    def recording(sm):
+        seen.append((sm.base, sm.mul_e, sm.mul_g, sm.t))
+        return semi_mackey_check(sm)
+
+    monkeypatch.setattr(equialg.magmas, "semi_mackey_check", recording)
+    sweep(*box)
+    monkeypatch.undo()
+    stream = list(equialg.magmas._candidates(*box))
+    assert (len(stream), len(seen)) == (candidates, checked)
+    it = iter(seen)
+    nxt = next(it, None)
+    for base, mul_e, mul_g, t in stream:
+        if (base, mul_e, mul_g, t) == nxt:
+            nxt = next(it, None)
+        else:
+            sm = SemiMackeyFunctor(base, mul_e, 0, mul_g, 0, t, validate=False)
+            assert not semi_mackey_check(sm)
+    assert nxt is None
+
+
+@pytest.mark.parametrize("box", [(2, 3, 3), (3, 3, 3)],
+                         ids=["p2-3x3", "p3-3x3"])
+def test_trusted_candidates_equal_validated_construction(box):
+    for base, mul_e, mul_g, t in equialg.magmas._candidates(*box):
+        for cls in (CpUnitalMagma, SemiMackeyFunctor):
+            trusted = cls._trusted(base, mul_e, mul_g, t)
+            built = cls(base, mul_e, 0, mul_g, 0, t, validate=False)
+            assert type(trusted) is cls
+            assert trusted.key() == built.key()
+
+
 def test_p3_functor_sweep_at_3x3_round_trips():
     sms = enumerate_semi_mackey(3, 3, 3)
     assert len(sms) == 38
@@ -649,6 +745,28 @@ def test_out_of_range_tables_rejected_on_construction(cls, bad):
     args.update(bad)
     with pytest.raises(ValidationError):
         cls(validate=False, **args)
+
+
+@pytest.mark.parametrize("cls", [CpUnitalMagma, SemiMackeyFunctor])
+@pytest.mark.parametrize("bad", [
+    {"mul_e": [[0, 1], [1, 0.7]]}, {"mul_e": [[0, 1], [1, 0.0]]},
+    {"mul_g": [[0, 1.0], [1, 0]]}, {"mul_g": [[0, True], [True, 0]]},
+    {"mul_e": ["01", "10"]}, {"unit_e": 0.0}, {"unit_g": False},
+    {"t": [0, 0.4]}, {"t": [0, 1.0]}, {"t": [False, 0]}])
+def test_non_integer_entries_rejected_on_construction(cls, bad):
+    args = dict(base=BASE22, mul_e=Z2, unit_e=0, mul_g=Z2, unit_g=0,
+                t=[0, 0])
+    args.update(bad)
+    with pytest.raises(ValidationError):
+        cls(validate=False, **args)
+
+
+@pytest.mark.parametrize("sigma, r", [
+    ([0, 1.9], [0]), ([0, 1.0], [0]), ([False, 1], [0]),
+    ([0, 1], [0.0]), ([0, 1], [True])])
+def test_non_integer_coefficient_system_rejected(sigma, r):
+    with pytest.raises(ValidationError):
+        CoefficientSystem(2, 2, sigma, 1, r)
 
 
 def test_theorem_violation_is_loud():
