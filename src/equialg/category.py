@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .errors import (CheckReport, CutoffOverflowError, GuardExceededError,
                      ValidationError)
-from .groups import FiniteGroup
+from .groups import FiniteGroup, orbits
 from .gsets import GSetMap
 from .indexing import (LevelTables, WeakIndexingSystem, close_system,
                        default_cutoff, f_complete, f_trivial, level_tables,
@@ -96,15 +96,10 @@ def map_class_of(tables: LevelTables, f: GSetMap) -> tuple:
         hi = lat.index_of[f.dst.stabilizer(y).members]
         stab = tables.members[hi]
         fiber = [x for x in f.src.points if f.on_points[x] == y]
-        types = []
-        seen = set()
-        for x in fiber:
-            if x in seen:
-                continue
-            sub_orbit = {f.src.act[g][x] for g in stab}
-            seen |= sub_orbit
-            k = lat.index_of[f.src.stabilizer(min(sub_orbit)).members]
-            types.append(tables.h_class_rep[hi][k])
+        subs = orbits(fiber, lambda x: {f.src.act[g][x] for g in stab})
+        types = [tables.h_class_rep[hi][
+                     lat.index_of[f.src.stabilizer(sub[0]).members]]
+                 for sub in subs]
         cid = tables.encode(hi, tuple(types))
         if cid is None:
             raise tables.violation("fiber exceeds its level", hi, types)

@@ -33,7 +33,7 @@ import operator
 from functools import cached_property
 from itertools import repeat
 
-from .errors import ValidationError
+from .errors import ValidationError, require_ints
 from .groups import FiniteGroup, cyclic_group, subgroup_lattice
 from .gsets import GSet, fixed_points
 from .indexing import WeakIndexingSystem, join
@@ -163,7 +163,8 @@ class RepDimension:
 
     def __init__(self, group: FiniteGroup, dims):
         lat = subgroup_lattice(group)
-        dims = {int(k): int(v) for k, v in dict(dims).items()}
+        dims = dict(dims)
+        require_ints(list(dims.items()), "representation dimensions")
         if sorted(dims) != list(range(len(lat.nodes))):
             raise ValidationError("need one dimension per subgroup")
         if any(v < 0 for v in dims.values()):

@@ -52,6 +52,7 @@ def require_ints(value, what: str):
     truncated."""
     if isinstance(value, (list, tuple)):
         for x in value:
-            require_ints(x, what)
+            if type(x) is not int:
+                require_ints(x, what)
     elif type(value) is not int:
         raise ValidationError(f"{what} must hold integers, not {value!r}")

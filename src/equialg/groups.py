@@ -5,6 +5,9 @@ total multiplication table.  Intended scale is |G| <= 16, so every
 algorithm here is exhaustive and every value is validated on construction.
 Subgroups are the closed sets of `_product_rules` over the identity:
 `poset.close` generates one and `poset.closure_lattice` lists them all.
+Every orbit partition of the package (conjugacy classes of subgroups,
+orbits of a G-set, double cosets, the sub-orbits of a map's fiber) comes
+from one routine, `orbits`.
 """
 from __future__ import annotations
 
@@ -21,7 +24,8 @@ class FiniteGroup:
     __slots__ = ("mul_table", "order", "identity", "inv_table", "name", "_hash")
 
     def __init__(self, mul, name: str = ""):
-        mul = tuple(tuple(int(x) for x in row) for row in mul)
+        mul = tuple(map(tuple, mul))
+        require_ints(mul, "multiplication table")
         n = len(mul)
         if n == 0:
             raise ValidationError("group order 0 is invalid")
@@ -131,7 +135,9 @@ class Subgroup:
     __slots__ = ("parent", "members", "key", "_as_group", "_embedding")
 
     def __init__(self, parent: FiniteGroup, members):
-        members = frozenset(int(x) for x in members)
+        members = tuple(members)
+        require_ints(members, "subgroup members")
+        members = frozenset(members)
         if parent.identity not in members:
             raise ValidationError("subgroup must contain the identity")
         for a in members:
@@ -197,6 +203,20 @@ class Subgroup:
         return Subgroup(big.as_group(), {big.to_local(a) for a in self.members})
 
 
+def orbits(points, orbit_of) -> list:
+    """The orbits of an action on `points` (ascending), each a sorted
+    list, in order of least point; `orbit_of(x)` is the set of images of
+    x, so each orbit's least point is the first of it that is reached."""
+    seen = set()
+    out = []
+    for x in points:
+        if x not in seen:
+            orbit = sorted(orbit_of(x))
+            seen.update(orbit)
+            out.append(orbit)
+    return out
+
+
 def _product_rules(g: FiniteGroup):
     """`poset.close` rules on element bits: a pair (a, b) forces a·b and
     b·a, and no element forces anything alone."""
@@ -237,27 +257,15 @@ class SubgroupLattice:
         self.leq = tuple(tuple(self.nodes[i].members <= self.nodes[j].members
                                for j in range(n)) for i in range(n))
         # conjugation permutes subgroups; orbits are the conjugacy classes
-        conj_of = []
-        for g in group.elements:
-            conj_of.append(tuple(self.index_of[self.nodes[i].conjugate_by(g).members]
-                                 for i in range(n)))
-        self.conj_table = tuple(conj_of)
-        seen = [False] * n
-        classes = []
-        for i in range(n):
-            if seen[i]:
-                continue
-            orbit = sorted({conj_of[g][i] for g in group.elements})
-            for j in orbit:
-                seen[j] = True
-            classes.append(tuple(orbit))
-        self.conj_classes = tuple(classes)
+        self.conj_table = tuple(
+            tuple(self.index_of[h.conjugate_by(g).members] for h in self.nodes)
+            for g in group.elements)
+        self.conj_classes = tuple(map(tuple, orbits(
+            range(n), lambda i: {row[i] for row in self.conj_table})))
         # each class is listed from its least member, so these ascend
         self.class_reps = tuple(c[0] for c in self.conj_classes)
-        self.class_of = {}
-        for c, orbit in enumerate(self.conj_classes):
-            for i in orbit:
-                self.class_of[i] = c
+        self.class_of = {i: c for c, orbit in enumerate(self.conj_classes)
+                         for i in orbit}
 
     def __len__(self):
         return len(self.nodes)

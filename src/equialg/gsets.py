@@ -3,8 +3,11 @@ induction / restriction / coinduction, fixed points, double cosets, spans.
 
 G-sets are points 0..n-1 with an explicit action table; isomorphism is
 decided by the multiset of stabilizer conjugacy classes, which classifies
-finite G-sets.  All operations are pure; values are immutable.  Every
-coset list comes from one routine, `_cosets`.
+finite G-sets.  All operations are pure; values are immutable.  One
+routine owns each fact: `_cosets` every coset list, `_coset_moves` the
+coset transporters of induction (left cosets) and coinduction (right),
+`groups.orbits` every orbit partition (`GSet.orbits`, `double_cosets`),
+and `GSet.transversal` the least element carrying a point to another.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from itertools import product
 
 from .errors import (GuardExceededError, TheoremViolation, ValidationError,
                      require_ints)
-from .groups import FiniteGroup, Subgroup, subgroup_lattice
+from .groups import FiniteGroup, Subgroup, orbits, subgroup_lattice
 
 COINDUCE_GUARD = 100_000  # points a coinduction may materialize
 
@@ -27,13 +30,37 @@ def _cosets(group: FiniteGroup, members, right: bool = False):
     return cosets, {x: i for i, c in enumerate(cosets) for x in c}
 
 
+def _coset_moves(h: Subgroup, right: bool = False) -> list:
+    """Per element g and coset i of H (left cosets r_i H, or right cosets
+    H r_i if `right`; r_i is the least member), the pair (j, local id of
+    x) with g r_i = r_j x (r_i g = x r_j if `right`).  An x outside H is
+    a TheoremViolation with witness (group, g, i)."""
+    group = h.parent
+    cosets, coset_of = _cosets(group, h.members, right)
+    reps = [c[0] for c in cosets]
+    moves = []
+    for g in group.elements:
+        row = []
+        for i, r in enumerate(reps):
+            moved = group.mul(r, g) if right else group.mul(g, r)
+            j = coset_of[moved]
+            inv = group.inv_table[reps[j]]
+            x = group.mul(moved, inv) if right else group.mul(inv, moved)
+            if x not in h.members:
+                raise TheoremViolation("coset transporter is not in H",
+                                       (group.name, g, i))
+            row.append((j, h.to_local(x)))
+        moves.append(row)
+    return moves
+
+
 class GSet:
     """A finite G-set: act[g][x] is the action of element g on point x."""
 
     __slots__ = ("group", "size", "act", "_orbits")
 
     def __init__(self, group: FiniteGroup, act, validate: bool = True):
-        act = tuple(tuple(int(x) for x in row) for row in act)
+        act = tuple(map(tuple, act))
         if len(act) != group.order:
             raise ValidationError("action table needs one row per group element")
         size = len(act[0]) if act else 0
@@ -46,6 +73,7 @@ class GSet:
 
     def _check(self):
         g, n = self.group, self.size
+        require_ints(self.act, "action table")
         for row in self.act:
             if len(row) != n or any(not 0 <= x < n for x in row):
                 raise ValidationError("action rows must be maps on 0..n-1")
@@ -109,17 +137,15 @@ class GSet:
     def orbits(self) -> list:
         """Orbits as sorted point lists, ordered by least point."""
         if self._orbits is None:
-            seen = [False] * self.size
-            orbits = []
-            for x in self.points:
-                if seen[x]:
-                    continue
-                orbit = sorted({self.act[g][x] for g in self.group.elements})
-                for y in orbit:
-                    seen[y] = True
-                orbits.append(orbit)
-            self._orbits = orbits
+            self._orbits = orbits(self.points,
+                                  lambda x: {row[x] for row in self.act})
         return self._orbits
+
+    def transversal(self, x: int) -> dict:
+        """{y: least g with g.x = y} over the orbit of x, by ascending y."""
+        # over descending g, the least g carrying x to y is written last
+        return dict(sorted({self.act[g][x]: g
+                            for g in reversed(self.group.elements)}.items()))
 
     def stabilizer(self, x: int) -> Subgroup:
         return Subgroup(self.group,
@@ -188,7 +214,9 @@ class GSetMap:
     __slots__ = ("src", "dst", "on_points")
 
     def __init__(self, src: GSet, dst: GSet, on_points, validate: bool = True):
-        on_points = tuple(int(x) for x in on_points)
+        on_points = tuple(on_points)
+        if validate:
+            require_ints(on_points, "map values")
         if len(on_points) != src.size:
             raise ValidationError("map must be defined on every source point")
         if any(not 0 <= y < dst.size for y in on_points):
@@ -278,22 +306,9 @@ def induce(h: Subgroup, s: GSet) -> GSet:
     group = h.parent
     if s.group != h.as_group():
         raise ValidationError("induce expects a set over h.as_group()")
-    cosets, coset_of = _cosets(group, h.members)
-    reps = [c[0] for c in cosets]
-    pts = [(i, x) for i in range(len(cosets)) for x in s.points]
-    index = {p: k for k, p in enumerate(pts)}
-    act = []
-    for g in group.elements:
-        row = []
-        for (i, x) in pts:
-            gi = group.mul(g, reps[i])
-            j = coset_of[gi]
-            hh = group.mul(group.inv_table[reps[j]], gi)
-            if hh not in h.members:
-                raise TheoremViolation("coset transporter is not in H",
-                                       (group.name, g, i))
-            row.append(index[(j, s.act[h.to_local(hh)][x])])
-        act.append(row)
+    n = s.size
+    act = [[j * n + s.act[hl][x] for (j, hl) in row for x in s.points]
+           for row in _coset_moves(h)]
     return GSet(group, act, validate=False)
 
 
@@ -314,28 +329,15 @@ def coinduce(h: Subgroup, s: GSet) -> GSet:
     group = h.parent
     if s.group != h.as_group():
         raise ValidationError("coinduce expects a set over h.as_group()")
-    cosets, coset_of = _cosets(group, h.members, right=True)  # cosets Hg
-    reps = [c[0] for c in cosets]
-    k = len(cosets)
+    k = group.order // h.order  # the number of right cosets Hg
     if s.size ** k > COINDUCE_GUARD:
         raise GuardExceededError(f"coinduction would need {s.size ** k} "
                                  f"points (guard {COINDUCE_GUARD})")
     pts = list(product(s.points, repeat=k))
     index = {p: i for i, p in enumerate(pts)}
-    act = []
-    for g in group.elements:
-        # (g.f)(r_i) = f(r_i g) = h' . f(r_j) where r_i g = h' r_j
-        moves = []
-        for i in range(k):
-            rig = group.mul(reps[i], g)
-            j = coset_of[rig]
-            hh = group.mul(rig, group.inv_table[reps[j]])
-            if hh not in h.members:
-                raise TheoremViolation("coset transporter is not in H",
-                                       (group.name, g, i))
-            moves.append((j, h.to_local(hh)))
-        row = [index[tuple(s.act[hl][f[j]] for (j, hl) in moves)] for f in pts]
-        act.append(row)
+    # (g.f)(r_i) = f(r_i g) = x . f(r_j) where r_i g = x r_j
+    act = [[index[tuple(s.act[hl][f[j]] for (j, hl) in moves)] for f in pts]
+           for moves in _coset_moves(h, right=True)]
     return GSet(group, act, validate=False)
 
 
@@ -343,14 +345,9 @@ def double_cosets(k: Subgroup, h: Subgroup, g: FiniteGroup) -> list:
     """Representatives of K\\G/H in ascending order of least orbit element."""
     if k.parent != g or h.parent != g:
         raise ValidationError("double cosets need subgroups of g")
-    remaining = set(g.elements)
-    reps = []
-    while remaining:
-        x = min(remaining)
-        reps.append(x)
-        orbit = {g.mul(g.mul(a, x), b) for a in k.members for b in h.members}
-        remaining -= orbit
-    return reps
+    return [orbit[0] for orbit in orbits(
+        g.elements, lambda x: {g.mul(g.mul(a, x), b)
+                               for a in k.members for b in h.members})]
 
 
 def distinguished_fixed_point(u: Subgroup, v: Subgroup):
@@ -378,22 +375,13 @@ def equivariant_maps(s: GSet, t: GSet):
     """
     if s.group != t.group:
         raise ValidationError("maps need a shared group")
-    orbits = s.orbits()
-    choices = []
-    transports = []  # per orbit: list of (point, g) with point = g . rep
-    for orbit in orbits:
-        x = orbit[0]
-        stab = s.stabilizer(x)
-        choices.append(fixed_points(t, stab))
-        tr = {}
-        for g in s.group.elements:
-            y = s.act[g][x]
-            if y not in tr:
-                tr[y] = g
-        transports.append(sorted(tr.items()))
+    reps = [orbit[0] for orbit in s.orbits()]
+    choices = [fixed_points(t, s.stabilizer(x)) for x in reps]
+    # per orbit: (point, g) with point = g . rep
+    transports = [list(s.transversal(x).items()) for x in reps]
     for combo in product(*choices):
         on = [0] * s.size
-        for orbit, img, tr in zip(orbits, combo, transports):
+        for img, tr in zip(combo, transports):
             for (y, g) in tr:
                 on[y] = t.act[g][img]
         yield GSetMap(s, t, on, validate=False)
@@ -459,7 +447,6 @@ class Span:
             apex = GSet.from_json(json.dumps(data["apex"]), group)
             source = GSet.from_json(json.dumps(data["source"]), group)
             target = GSet.from_json(json.dumps(data["target"]), group)
-            require_ints([data["left"], data["right"]], "span JSON")
             left = GSetMap(apex, source, data["left"])
             right = GSetMap(apex, target, data["right"])
         except (KeyError, TypeError) as exc:

@@ -30,8 +30,8 @@ from functools import cached_property
 from itertools import chain, product, repeat
 
 from .errors import (CheckReport, CutoffOverflowError, GuardExceededError,
-                     TheoremViolation, ValidationError)
-from .groups import FiniteGroup, subgroup_lattice
+                     TheoremViolation, ValidationError, require_ints)
+from .groups import FiniteGroup, orbits, subgroup_lattice
 from .poset import Poset, _bits, _mask, close, closure_lattice
 
 LEVEL_GUARD = 1200      # level classes any enumeration accepts
@@ -77,23 +77,18 @@ class LevelTables:
         self.orbit_types = []   # per H: sorted tuple of rep sids
         self.level_cutoff = [cutoff * o // group.order for o in self.sub_order]
         for hi in range(self.n_sids):
-            hm = self.members[hi]
-            subs = [k for k in range(self.n_sids) if self.members[k] <= hm]
-            rep = {k: min(self.conj_sid[g][k] for g in hm) for k in subs}
-            self.sub_sids.append(tuple(subs))
+            rep = _h_class_reps(self.lat, hi)
+            self.sub_sids.append(tuple(rep))
             self.h_class_rep.append(rep)
             self.orbit_types.append(tuple(sorted(set(rep.values()))))
         self.res_orbit = {}  # [H, K, L]: Res^H_K (H/L), by cosets K\H/L
         for hi, types in enumerate(self.orbit_types):
             for ki, li in product(self.sub_sids[hi], types):
                 km, lm = self.members[ki], self.members[li]
-                remaining = set(self.members[hi])
                 out = []
-                while remaining:
-                    x = min(remaining)
-                    remaining -= {group.mul(group.mul(a, x), b)
-                                  for a in km for b in lm}
-                    stab = km & frozenset(group.conj(x, b) for b in lm)
+                for orbit in orbits(self.lat.nodes[hi].embedding, lambda x: {
+                        group.mul(group.mul(a, x), b) for a in km for b in lm}):
+                    stab = km & frozenset(group.conj(orbit[0], b) for b in lm)
                     out.append(self.h_class_rep[ki][self.lat.index_of[stab]])
                 self.res_orbit[hi, ki, li] = tuple(sorted(out))
         # interned H-set classes per level, sorted by (size, tuple)
@@ -267,6 +262,14 @@ class LevelTables:
                    if self.conj_sid[g][hi] == hi)
 
 
+def _h_class_reps(lat, hi: int) -> dict:
+    """{K sid: least sid among the H-conjugates of K} over the subgroups K
+    of H = node hi of the lattice `lat`, by ascending K."""
+    h = lat.nodes[hi].members
+    return {k: min(lat.conj_table[g][k] for g in h)
+            for k in range(len(lat.nodes)) if lat.leq[k][hi]}
+
+
 def _count_level_classes(group: FiniteGroup, cutoff: int) -> int:
     """The number of level classes `LevelTables(group, cutoff)` interns,
     counted from the subgroup lattice alone (coin change over each level's
@@ -275,8 +278,7 @@ def _count_level_classes(group: FiniteGroup, cutoff: int) -> int:
     total = 0
     for hi, h in enumerate(lat.nodes):
         # one coin per H-conjugacy class of subgroups K <= H, worth [H:K]
-        reps = {min(lat.conj_table[g][k] for g in h.members)
-                for k in range(len(lat.nodes)) if lat.leq[k][hi]}
+        reps = set(_h_class_reps(lat, hi).values())
         ways = [1] + [0] * (cutoff * h.order // group.order)
         for k in reps:
             size = h.order // lat.nodes[k].order
@@ -605,9 +607,13 @@ class TransferSystem:
         self.group = group
         self.lat = subgroup_lattice(group)
         n = len(self.lat.nodes)
-        rel = frozenset((int(a), int(b)) for a, b in rel) | frozenset(
+        if validate:
+            rel = tuple(rel)
+            require_ints(rel, "transfer system pairs")
+            if any(not 0 <= sid < n for pair in rel for sid in pair):
+                raise ValidationError(f"subgroup ids must lie in range({n})")
+        self.rel = frozenset((a, b) for a, b in rel) | frozenset(
             (i, i) for i in range(n))
-        self.rel = rel
         if validate:
             rep = transfer_check(self)
             if not rep:

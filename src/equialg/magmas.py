@@ -374,14 +374,10 @@ def evaluate_span_endo(sm: SemiMackeyFunctor, span: Span, free: GSet):
         if len(orbit) != p:
             raise TheoremViolation("apex of the double-coset span is not free",
                                    (p, orbit, len(orbit)))
-    base_point = free.orbits()[0][0]
-
-    def transport(img):
-        return min(g for g in range(p) if free.act[g][base_point] == img)
-
+    transport = free.transversal(free.orbits()[0][0])
     # per apex orbit: twist by the pull, then untwist by the push
-    moves = [(transport(span.left.on_points[orbit[0]]),
-              (-transport(span.right.on_points[orbit[0]])) % p)
+    moves = [(transport[span.left.on_points[orbit[0]]],
+              (-transport[span.right.on_points[orbit[0]]]) % p)
              for orbit in orbits]
 
     def run(v):

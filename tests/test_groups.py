@@ -6,7 +6,7 @@ import pytest
 
 from equialg import (FiniteGroup, Subgroup, ValidationError, cyclic_group,
                      direct_product, subgroup_lattice, subgroups)
-from equialg.groups import generated_subgroup
+from equialg.groups import generated_subgroup, orbits
 
 
 def brute_force_subgroups(g):
@@ -141,6 +141,52 @@ def test_class_reps_are_the_least_member_of_each_class():
             sorted({lat.class_rep(i) for i in range(len(lat))}))
         assert all(lat.class_reps[lat.class_of[i]] == min(c)
                    for c in lat.conj_classes for i in c)
+
+
+def reference_conj_classes(lat):
+    """Conjugacy classes of subgroups by the `seen` list that
+    `SubgroupLattice` kept before `groups.orbits` took the partition."""
+    n = len(lat.nodes)
+    seen = [False] * n
+    classes = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        orbit = sorted({lat.conj_table[g][i] for g in lat.group.elements})
+        for j in orbit:
+            seen[j] = True
+        classes.append(tuple(orbit))
+    return tuple(classes)
+
+
+SIX_GROUPS = pytest.mark.parametrize("g", [
+    cyclic_group(2), cyclic_group(4), cyclic_group(6),
+    direct_product(cyclic_group(2), cyclic_group(2)),
+    FiniteGroup(s3_table(), name="S3"), FiniteGroup(d8_table(), name="D8")],
+    ids=["C2", "C4", "C6", "C2xC2", "S3", "D8"])
+
+
+@SIX_GROUPS
+def test_conj_classes_match_the_seen_list(g):
+    lat = subgroup_lattice(g)
+    assert lat.conj_classes == reference_conj_classes(lat)
+    assert lat.class_of == {i: c for c, orbit in enumerate(lat.conj_classes)
+                            for i in orbit}
+
+
+@SIX_GROUPS
+def test_orbits_lists_each_orbit_once_by_least_point(g):
+    """`orbits` on the action of g on itself by left multiplication by a
+    subgroup H (the right cosets Hx), and by conjugation (the conjugacy
+    classes), against a partition computed pairwise."""
+    for h in subgroups(g):
+        got = orbits(g.elements, lambda x: {g.mul(a, x) for a in h.members})
+        cosets = {frozenset(g.mul(a, x) for a in h.members)
+                  for x in g.elements}
+        assert got == sorted(sorted(c) for c in cosets)
+    got = orbits(g.elements, lambda x: {g.conj(y, x) for y in g.elements})
+    classes = {frozenset(g.conj(y, x) for y in g.elements) for x in g.elements}
+    assert got == sorted(sorted(c) for c in classes)
 
 
 def reference_generated_subgroup(g, gens):

@@ -8,10 +8,11 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import equialg
-from equialg import (FiniteGroup, Subgroup, ValidationError, cyclic_group,
-                     direct_product, subgroups)
+from equialg import (FiniteGroup, RepDimension, Subgroup, TransferSystem,
+                     ValidationError, cyclic_group, direct_product, subgroups)
 from equialg import gsets
 from equialg.errors import GuardExceededError, TheoremViolation
 from equialg.gsets import (GSet, GSetMap, Span, coinduce, compose_spans,
@@ -270,6 +271,27 @@ def test_adjunction_counts(group):
                     s_t, coinduce(h, s))
 
 
+def double_coset_product(k, h, s):
+    """The product over K\\G/H of CoInd_L^K of s twisted by g, where
+    L = K meet gHg^-1 acts on s through conjugation by g: the side of the
+    double coset formula for Res_K CoInd_H s that reads no coinduction
+    to G."""
+    group = k.parent
+    rhs = None
+    for g in double_cosets(k, h, group):
+        conj_h = {group.conj(g, a) for a in h.members}
+        l_in_k = Subgroup(group, k.members & conj_h).relative_to(k)
+        act = []
+        for m in l_in_k.embedding:
+            a = k.embedding[m]  # element of G inside K
+            b = group.mul(group.mul(group.inv_table[g], a), g)
+            act.append(s.act[h.to_local(b)])
+        piece = coinduce(l_in_k, GSet(l_in_k.as_group(), act))
+        rhs = piece if rhs is None else pullback(
+            terminal_map(rhs), terminal_map(piece))[0]  # product of K-sets
+    return rhs
+
+
 def test_res_coind_double_coset_decomposition():
     # Res_K CoInd_H s decomposes over K\G/H as a product of coinductions
     for group in [C2, C4]:
@@ -280,26 +302,7 @@ def test_res_coind_double_coset_decomposition():
                         lhs = restrict(k, coinduce(h, s))
                     except GuardExceededError:
                         continue
-                    rhs = GSet.trivial(k.as_group(), 1)
-                    first = True
-                    for g in double_cosets(k, h, group):
-                        # L = K meet gHg^-1 acts on s through conjugation by g
-                        conj_h = {group.conj(g, a) for a in h.members}
-                        l_members = k.members & conj_h
-                        l_in_k = Subgroup(group, l_members).relative_to(k)
-                        lg = l_in_k.as_group()
-                        act = []
-                        for m in l_in_k.embedding:
-                            a = k.embedding[m]  # element of G inside K
-                            b = group.mul(group.mul(group.inv_table[g], a), g)
-                            act.append(s.act[h.to_local(b)])
-                        twisted = GSet(lg, act)
-                        piece = coinduce(l_in_k, twisted)
-                        if first:
-                            rhs, first = piece, False
-                        else:
-                            t1, t2 = terminal_map(rhs), terminal_map(piece)
-                            rhs = pullback(t1, t2)[0]  # product of K-sets
+                    rhs = double_coset_product(k, h, s)
                     assert lhs.size == rhs.size
                     assert is_isomorphic(lhs, rhs)
 
@@ -494,3 +497,204 @@ def test_coinduce_and_distinguished_point_raise_on_a_wrong_coset(monkeypatch):
     with pytest.raises(TheoremViolation) as exc:
         distinguished_fixed_point(sub(s3, {0, 3}), sub(s3, s3.elements))
     assert exc.value.witness[0].startswith("S3") and exc.value.witness[2] == 1
+
+
+# -- one routine per orbit fact, against the loops it replaced --------------
+
+def d8_group():
+    """Symmetries of a square on its corners."""
+    elems = [(0, 1, 2, 3)]
+    for x in elems:
+        for g in [(1, 2, 3, 0), (0, 3, 2, 1)]:
+            y = tuple(g[i] for i in x)
+            if y not in elems:
+                elems.append(y)
+    return FiniteGroup([[elems.index(tuple(p[q[i]] for i in range(4)))
+                         for q in elems] for p in elems], name="D8")
+
+
+S3 = s3_group()
+D8 = d8_group()
+SIX_GROUPS = pytest.mark.parametrize("group", [
+    C2, C4, cyclic_group(6), direct_product(C2, C2), S3, D8],
+    ids=["C2", "C4", "C6", "C2xC2", "S3", "D8"])
+
+
+def relabel(s, perm):
+    """s with point x renamed perm[x]."""
+    act = [[0] * s.size for _ in s.group.elements]
+    for g in s.group.elements:
+        for x in s.points:
+            act[g][perm[x]] = perm[s.act[g][x]]
+    return GSet(s.group, act)
+
+
+def shuffled_gsets(group, max_size):
+    """Every G-set of `all_gsets_up_to`, and each again with its points
+    reversed, so that orbits interleave."""
+    sets = all_gsets_up_to(group, max_size)
+    return sets + [relabel(s, s.points[::-1]) for s in sets]
+
+
+def reference_orbits(s):
+    """Orbits by the `seen` list `GSet.orbits` kept before `groups.orbits`."""
+    seen = [False] * s.size
+    orbits = []
+    for x in s.points:
+        if seen[x]:
+            continue
+        orbit = sorted({s.act[g][x] for g in s.group.elements})
+        for y in orbit:
+            seen[y] = True
+        orbits.append(orbit)
+    return orbits
+
+
+def reference_double_cosets(k, h, g):
+    """The `while remaining` loop `double_cosets` kept."""
+    remaining = set(g.elements)
+    reps = []
+    while remaining:
+        x = min(remaining)
+        reps.append(x)
+        remaining -= {g.mul(g.mul(a, x), b) for a in k.members
+                      for b in h.members}
+    return reps
+
+
+def reference_equivariant_maps(s, t):
+    """`equivariant_maps` with the transport dict it built per orbit."""
+    orbits = reference_orbits(s)
+    choices = []
+    transports = []
+    for orbit in orbits:
+        x = orbit[0]
+        choices.append(fixed_points(t, s.stabilizer(x)))
+        tr = {}
+        for g in s.group.elements:
+            y = s.act[g][x]
+            if y not in tr:
+                tr[y] = g
+        transports.append(sorted(tr.items()))
+    for combo in product(*choices):
+        on = [0] * s.size
+        for img, tr in zip(combo, transports):
+            for (y, g) in tr:
+                on[y] = t.act[g][img]
+        yield tuple(on)
+
+
+@SIX_GROUPS
+def test_orbits_double_cosets_and_maps_match_the_loops_they_replaced(group):
+    sets = shuffled_gsets(group, 4)
+    for s in sets:
+        assert s.orbits() == reference_orbits(s)
+        for x in s.points:
+            assert s.transversal(x) == {
+                y: min(g for g in group.elements if s.act[g][x] == y)
+                for y in sorted({s.act[g][x] for g in group.elements})}
+        for t in sets[::3]:
+            assert [m.on_points for m in equivariant_maps(s, t)] == \
+                list(reference_equivariant_maps(s, t))
+    subs = subgroups(group)
+    for k in subs:
+        for h in subs:
+            assert double_cosets(k, h, group) == \
+                reference_double_cosets(k, h, group)
+
+
+@SIX_GROUPS
+def test_induce_and_coinduce_match_the_transporter_loops(group):
+    """`_coset_moves` against the two transporter loops of induction (left
+    cosets) and coinduction (right cosets), which differ on S3 and D8."""
+    for h in subgroups(group):
+        hg = h.as_group()
+        for s in shuffled_gsets(hg, 2):
+            assert induce(h, s).act == ref_induce_act(h, s)
+            if s.size ** (group.order // h.order) <= 4096:
+                assert coinduce(h, s).act == ref_coinduce_act(h, s)
+
+
+# -- integer entries ---------------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda: FiniteGroup([[0, 1], [1, 0.5]]),
+    lambda: FiniteGroup([[0, 1.0], [1, 0]]),
+    lambda: GSet(C2, [[0, 1], [1.7, 0]]),
+    lambda: GSet(C2, [[0, True], [1, 0]]),
+    lambda: Subgroup(C2, {0, 1.2}),
+    lambda: Subgroup(C2, [0, True]),
+    lambda: GSetMap(GSet.regular(C2), GSet.regular(C2), [0.9, 1.2]),
+    lambda: GSetMap(GSet.regular(C2), GSet.regular(C2), [0, 1.0]),
+    lambda: TransferSystem(C2, [(0.9, 1)]),
+    lambda: TransferSystem(C2, [(False, 1)]),
+    lambda: RepDimension(C2, {0: 2.5, 1: 1}),
+    lambda: RepDimension(C2, {0.0: 2, 1: 1})],
+    ids=["group-float", "group-1.0", "gset-float", "gset-bool",
+         "subgroup-float", "subgroup-bool", "map-float", "map-1.0",
+         "transfer-float", "transfer-bool", "rep-float", "rep-key-0.0"])
+def test_constructors_reject_non_integral_entries(build):
+    """Each of these was truncated by `int()` and accepted."""
+    with pytest.raises(ValidationError, match="must hold integers"):
+        build()
+
+
+# -- criterion 7 on random G-sets over non-abelian groups --------------------
+
+@st.composite
+def random_gset(draw, group, max_points):
+    """A multiset of orbits G/H with at most `max_points` points, its
+    points shuffled."""
+    subs = subgroups(group)
+    chosen = []
+    left = max_points
+    while True:
+        fits = [h for h in subs if group.order // h.order <= left]
+        if not fits or not draw(st.booleans()):
+            break
+        h = draw(st.sampled_from(fits))
+        chosen.append(h)
+        left -= group.order // h.order
+    s = from_orbit_types(group, chosen)
+    return relabel(s, draw(st.permutations(range(s.size))))
+
+
+def coinducible_points(group, h, limit=4096):
+    """The most points an H-set may have for CoInd_H^G of it to stay
+    within `limit` points."""
+    index = group.order // h.order
+    return max(m for m in range(1, 5) if m ** index <= limit or m == 1)
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+@PROPERTY
+@given(st.data())
+def test_adjunctions_on_random_gsets_over_s3_and_d8(data):
+    """Induction and coinduction satisfy the action law, and
+    Hom(Ind s, t) = Hom(s, Res t) and Hom(Res t, s) = Hom(t, CoInd s)."""
+    group = data.draw(st.sampled_from([S3, D8]))
+    h = data.draw(st.sampled_from(subgroups(group)))
+    s = data.draw(random_gset(h.as_group(), coinducible_points(group, h)))
+    t = data.draw(random_gset(group, 4))
+    ind, coind = induce(h, s), coinduce(h, s)
+    GSet(group, ind.act), GSet(group, coind.act)  # validated
+    assert hom_count(ind, t) == hom_count(s, restrict(h, t))
+    assert hom_count(restrict(h, t), s) == hom_count(t, coind)
+
+
+@PROPERTY
+@given(st.data())
+def test_double_coset_formula_on_random_gsets_over_s3_and_d8(data):
+    """Res_K CoInd_H s is the product over K\\G/H of the twisted
+    coinductions."""
+    group = data.draw(st.sampled_from([S3, D8]))
+    subs = subgroups(group)
+    k = data.draw(st.sampled_from(subs))
+    h = data.draw(st.sampled_from(subs))
+    s = data.draw(random_gset(h.as_group(), coinducible_points(group, h)))
+    lhs = restrict(k, coinduce(h, s))
+    rhs = double_coset_product(k, h, s)
+    assert lhs.size == rhs.size and is_isomorphic(lhs, rhs)

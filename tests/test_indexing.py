@@ -26,9 +26,10 @@ from equialg.category import (WeakIndexingCategory, _ops_for, _transports,
                               map_class_of, map_class_universe,
                               pullback_classes, sub_multisets)
 from equialg.errors import CutoffOverflowError
-from equialg.groups import FiniteGroup, Subgroup, subgroup_lattice
-from equialg.gsets import GSet, GSetMap, orbit_projection, terminal_map
-from equialg.indexing import (LevelTables, WeakIndexingSystem,
+from equialg.groups import FiniteGroup, Subgroup, subgroup_lattice, subgroups
+from equialg.gsets import (GSet, GSetMap, equivariant_maps, from_orbit_types,
+                           orbit_projection, terminal_map)
+from equialg.indexing import (LevelTables, TransferSystem, WeakIndexingSystem,
                               _count_level_classes, _families,
                               close_system, enumerate_systems,
                               enumerate_transfer_systems, f_complete,
@@ -851,6 +852,88 @@ def reference_restrict_orbit(t, hi, ki, li):
     return tuple(sorted(out))
 
 
+def reference_h_classes(t, hi):
+    """(sub_sids, h_class_rep, orbit_types) of level hi by the member-set
+    test `LevelTables` kept before `_h_class_reps` read the lattice order."""
+    hm = t.members[hi]
+    subs = [k for k in range(t.n_sids) if t.members[k] <= hm]
+    rep = {k: min(t.conj_sid[g][k] for g in hm) for k in subs}
+    return tuple(subs), rep, tuple(sorted(set(rep.values())))
+
+
+def reference_map_class_of(t, f):
+    """`map_class_of` with the `seen` set over each fiber's sub-orbits."""
+    lat = t.lat
+    comps = []
+    for orbit in f.dst.orbits():
+        y = orbit[0]
+        hi = lat.index_of[f.dst.stabilizer(y).members]
+        stab = t.members[hi]
+        fiber = [x for x in f.src.points if f.on_points[x] == y]
+        types = []
+        seen = set()
+        for x in fiber:
+            if x in seen:
+                continue
+            sub_orbit = {f.src.act[g][x] for g in stab}
+            seen |= sub_orbit
+            k = lat.index_of[f.src.stabilizer(min(sub_orbit)).members]
+            types.append(t.h_class_rep[hi][k])
+        comps.append(component(t, hi, t.encode(hi, tuple(types))))
+    return tuple(sorted(comps))
+
+
+def small_gsets(group, max_size):
+    """Every multiset of orbits G/H with at most max_size points, and each
+    again with its points reversed, so that orbits interleave."""
+    subs = subgroups(group)
+    out = []
+
+    def rec(i, left, chosen):
+        if i == len(subs):
+            s = from_orbit_types(group, chosen)
+            rev = s.points[::-1]
+            out.append(s)
+            out.append(GSet(group, [[rev[row[rev[x]]] for x in s.points]
+                                    for row in s.act]))
+            return
+        rec(i + 1, left, chosen)
+        size = group.order // subs[i].order
+        if size <= left:
+            rec(i, left - size, chosen + [subs[i]])
+
+    rec(0, max_size, [])
+    return out
+
+
+SIX_TABLES = pytest.mark.parametrize("group, cutoff", [
+    (C2, 6), (C4, 8), (cyclic_group(6), 12), (direct_product(C2, C2), 8),
+    (s3_group(), 12), (d8_group(), 8)],
+    ids=["C2-6", "C4-8", "C6-12", "C2xC2-8", "S3-12", "D8-8"])
+
+
+@SIX_TABLES
+def test_h_classes_match_the_member_set_loop(group, cutoff):
+    t = level_tables(group, cutoff)
+    for hi in range(t.n_sids):
+        assert (t.sub_sids[hi], t.h_class_rep[hi], t.orbit_types[hi]) == \
+            reference_h_classes(t, hi)
+        assert list(t.h_class_rep[hi]) == list(t.sub_sids[hi])
+
+
+@SIX_TABLES
+def test_map_class_of_matches_the_seen_set_loop(group, cutoff):
+    t = level_tables(group, cutoff)
+    sets = small_gsets(group, 4)
+    checked = 0
+    for src in sets:
+        for dst in sets[::2]:
+            for f in equivariant_maps(src, dst):
+                assert map_class_of(t, f) == reference_map_class_of(t, f)
+                checked += 1
+    assert checked > 50
+
+
 def reference_rules(t, i):
     """The rules of bit i alone, by the two loops the one-pass build
     replaced: the coproducts with i outside the slot over every class of
@@ -918,10 +1001,10 @@ def test_rules_compute_each_fitting_coproduct_once(monkeypatch, group,
 
 
 @pytest.mark.parametrize("group, cutoff", [
-    (C2, 6), (cyclic_group(6), 12), (s3_group(), 12),
+    (C2, 6), (C4, 12), (cyclic_group(6), 12), (s3_group(), 12),
     (direct_product(C2, C2), 8), (d8_group(), 8),
     (direct_product(direct_product(C2, C2), C2), 8)],
-    ids=["C2-6", "C6-12", "S3-12", "C2xC2-8", "D8-8", "C2xC2xC2-8"])
+    ids=["C2-6", "C4-12", "C6-12", "S3-12", "C2xC2-8", "D8-8", "C2xC2xC2-8"])
 def test_restriction_table_matches_the_double_coset_loop(group, cutoff):
     t = level_tables(group, cutoff)
     keys = {(hi, ki, li) for hi in range(t.n_sids)
@@ -1083,6 +1166,15 @@ def test_transfer_extraction_blames_the_cutoff_not_the_input():
         transfer_system_of(WeakIndexingSystem(t, t.mask_of(adm),
                                               validate=False))
     assert "not a weak indexing system" in str(exc.value)
+
+
+@pytest.mark.parametrize("rel", [[(5, 0)], [(-1, 0)], [(0, 2)], [(0, -2)]],
+                         ids=["5-0", "-1-0", "0-2", "0--2"])
+def test_transfer_system_rejects_subgroup_ids_out_of_range(rel):
+    """C2 has subgroups 0 and 1: (5, 0) raised IndexError, and (-1, 0)
+    was read as the last subgroup and reported as refines-containment."""
+    with pytest.raises(ValidationError, match=r"range\(2\)"):
+        TransferSystem(C2, rel)
 
 
 def test_transfer_extraction_needs_unital():

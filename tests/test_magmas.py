@@ -14,7 +14,7 @@ import equialg.magmas
 from equialg import cyclic_group
 from equialg.errors import (CheckReport, GuardExceededError,
                             TheoremViolation, ValidationError)
-from equialg.gsets import GSet, GSetMap, Span
+from equialg.gsets import GSet, GSetMap, Span, equivariant_maps
 from equialg.magmas import (CoefficientSystem, CpUnitalMagma, InterchangePair,
                             SemiMackeyFunctor, canonical_pair_key,
                             check_interchange, eckmann_hilton,
@@ -347,6 +347,48 @@ def test_semi_mackey_span_path_agrees_with_direct_formula():
     base = CoefficientSystem(2, 3, [0, 2, 1], 2, [0, 0])
     sm = SemiMackeyFunctor(base, Z3, 0, Z2, 0, [0, 0, 0])
     assert semi_mackey_check(sm)
+
+
+def reference_evaluate_span_endo(sm, span, free):
+    """`evaluate_span_endo` with its transport: the least g carrying the
+    base point to an image, found by a scan of the group per image."""
+    base, p = sm.base, sm.base.p
+    base_point = free.orbits()[0][0]
+
+    def transport(img):
+        return min(g for g in range(p) if free.act[g][base_point] == img)
+
+    moves = [(transport(span.left.on_points[orbit[0]]),
+              (-transport(span.right.on_points[orbit[0]])) % p)
+             for orbit in span.apex.orbits()]
+
+    def run(v):
+        out = sm.unit_e
+        for a, b in moves:
+            out = sm.mul_e[out][base.act(b, base.act(a, v))]
+        return out
+
+    return run
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_span_evaluation_matches_the_transport_scan(p):
+    """Every span from the free orbit to itself whose apex is two free
+    orbits (legs: every pair of equivariant maps), and the composite of
+    transfer and restriction, on every functor of the (3,3) box."""
+    free = GSet.regular(cyclic_group(p))
+    apex = free + free
+    legs = list(equivariant_maps(apex, free))
+    spans = [Span(a, b) for a in legs for b in legs]
+    spans.append(equialg.magmas._span_rt_composite(p)[0])
+    functors = enumerate_semi_mackey(p, 3, 3)
+    assert len(spans) == p ** 4 + 1 and functors
+    for sm in functors:
+        for span in spans:
+            got = evaluate_span_endo(sm, span, free)
+            ref = reference_evaluate_span_endo(sm, span, free)
+            assert [got(v) for v in range(sm.base.size_e)] == \
+                [ref(v) for v in range(sm.base.size_e)]
 
 
 def test_fixed_point_functor_of_commutative_monoid():
