@@ -33,7 +33,8 @@ from .gsets import GSetMap
 from .indexing import (LevelTables, WeakIndexingSystem, close_system,
                        default_cutoff, f_complete, f_trivial, level_tables,
                        system_check)
-from .poset import Poset, _bits, _mask, _union, close, closure_lattice
+from .poset import (Poset, _bits, _mask, _union, close, closure_lattice,
+                    rule_table)
 
 GROUND_GUARD = 400  # map classes the category enumeration accepts
 UNIVERSE_GUARD = 100_000  # map classes the universe builds before it stops
@@ -57,7 +58,7 @@ def component(tables: LevelTables, hi: int, cid: int) -> tuple:
 def comp_sizes(tables: LevelTables, comp: tuple) -> tuple:
     hi, cid = comp
     index = tables.group.order // tables.sub_order[hi]
-    return (tables.size(hi, cid) * index, index)
+    return (tables.cls_size[hi][cid] * index, index)
 
 
 def class_sizes(tables: LevelTables, mc: tuple) -> tuple:
@@ -301,26 +302,18 @@ class _Ops:
                            if src + s <= t.cutoff and dst + d <= t.cutoff])
         return composites, pullbacks, summands, unions
 
-    def rules(self, u: int):
-        """The closure rules of class u, as bitmasks over ids: the classes
-        u forces alone (its summands, its pullbacks along every map to its
-        codomain), the mask of partners v that force something together
-        with u, and per partner (keyed by its one-bit mask) the classes the
-        pair forces (composites in both orders and the disjoint union)."""
-        return self._rules[u]
-
     @cached_property
-    def _rules(self) -> list:
+    def rules(self) -> list:
+        """The `poset.rule_table` over class ids: alone a class u forces
+        its summands and its pullbacks along every map to its codomain;
+        with a partner, the composites in both orders and the disjoint
+        union (read once, from the lesser id)."""
         composites, pullbacks, summands, unions = self.operations
-        forced = [defaultdict(int) for _ in self.classes]
-        for u, (after, joins) in enumerate(zip(composites, unions)):
-            for v, m in after:
-                forced[u][1 << v] |= m
-                forced[v][1 << u] |= m
-            for v, w in joins:
-                forced[u][1 << v] |= 1 << w
-        return [(_union(m for _, m in bases) | subs, sum(f), dict(f))
-                for bases, subs, f in zip(pullbacks, summands, forced)]
+        unary = [_union(m for _, m in bases) | subs
+                 for bases, subs in zip(pullbacks, summands)]
+        return rule_table(unary, (
+            (u, v, m) for u, (after, joins) in enumerate(zip(composites, unions))
+            for v, m in after + [(v, 1 << w) for v, w in joins if u <= v]))
 
 
 def _ops_for(tables: LevelTables) -> _Ops:
@@ -475,6 +468,8 @@ def enumerate_categories(group: FiniteGroup, cutoff: int,
     Every valid class set is the closure of its members, so
     `closure_lattice` over all classes is exhaustive.
     """
+    if which not in ("all", "unital", "almost_unital"):
+        raise ValidationError(f"unknown filter {which!r}")
     tables = level_tables(group, cutoff)
     ops = _ops_for(tables)
     if len(ops.classes) > GROUND_GUARD:

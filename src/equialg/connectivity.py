@@ -188,19 +188,19 @@ def disk_conn_c2(a: int, b: int, s) -> int | float:
     content (fewer than two points at the trivial level; d = 0 and c < 2)
     have infinite connectivity.
     """
-    if a < 0 or b < 0:
+    if len(s) != {"e": 2, "G": 3}.get(s[0] if s else None):
+        raise ValidationError(f"unknown arity descriptor {s!r}")
+    require_ints((a, b, *s[1:]), "multiplicities and arity counts")
+    if min(a, b, *s[1:]) < 0:
         raise ValidationError("multiplicities must be nonnegative")
-    kind = s[0]
-    if kind == "e":
+    if s[0] == "e":
         return max(-2, a + b - 2) if s[1] >= 2 else INF
-    if kind == "G":
-        c, d = s[1], s[2]
-        if d == 0:
-            return max(-2, a - 2) if c >= 2 else INF
-        if c < 2:
-            return max(-2, b - 2)
-        return max(-2, min(a, b) - 2)
-    raise ValidationError(f"unknown arity descriptor {s!r}")
+    c, d = s[1], s[2]
+    if d == 0:
+        return max(-2, a - 2) if c >= 2 else INF
+    if c < 2:
+        return max(-2, b - 2)
+    return max(-2, min(a, b) - 2)
 
 
 def _constraints(v: RepDimension, s: GSet) -> list:

@@ -15,7 +15,7 @@ import json
 from itertools import product
 
 from .errors import ValidationError, require_ints
-from .poset import _bits, _mask, close, closure_lattice
+from .poset import _bits, _mask, close, closure_lattice, rule_table
 
 
 class FiniteGroup:
@@ -174,9 +174,6 @@ class Subgroup:
     def __repr__(self):
         return f"Subgroup({sorted(self.members)} <= {self.parent.name})"
 
-    def conjugate_by(self, g: int) -> "Subgroup":
-        return Subgroup(self.parent, {self.parent.conj(g, a) for a in self.members})
-
     @property
     def embedding(self) -> tuple:
         """Sorted member ids; position = local element id in as_group()."""
@@ -217,15 +214,12 @@ def orbits(points, orbit_of) -> list:
     return out
 
 
-def _product_rules(g: FiniteGroup):
+def _product_rules(g: FiniteGroup) -> list:
     """`poset.close` rules on element bits: a pair (a, b) forces a·b and
     b·a, and no element forces anything alone."""
-    everything = (1 << g.order) - 1
-    table = tuple((0, everything,
-                   {1 << b: 1 << g.mul(a, b) | 1 << g.mul(b, a)
-                    for b in g.elements})
-                  for a in g.elements)
-    return table.__getitem__
+    return rule_table([0] * g.order, (
+        (a, b, 1 << g.mul(a, b) | 1 << g.mul(b, a))
+        for a in g.elements for b in range(a, g.order)))
 
 
 def generated_subgroup(g: FiniteGroup, gens) -> frozenset:
@@ -256,9 +250,11 @@ class SubgroupLattice:
         n = len(self.nodes)
         self.leq = tuple(tuple(self.nodes[i].members <= self.nodes[j].members
                                for j in range(n)) for i in range(n))
-        # conjugation permutes subgroups; orbits are the conjugacy classes
+        # conjugation permutes subgroups (an automorphism, so a conjugate
+        # needs no check); its orbits are the conjugacy classes
         self.conj_table = tuple(
-            tuple(self.index_of[h.conjugate_by(g).members] for h in self.nodes)
+            tuple(self.index_of[frozenset(group.conj(g, a) for a in h.members)]
+                  for h in self.nodes)
             for g in group.elements)
         self.conj_classes = tuple(map(tuple, orbits(
             range(n), lambda i: {row[i] for row in self.conj_table})))

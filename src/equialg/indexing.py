@@ -18,29 +18,24 @@ else.  Closure, joins, meets and exhaustive enumeration build that mask
 through `poset.close` over `LevelTables.rules`; the per-level id sets
 (`WeakIndexingSystem.admissible`) are a view derived from it, and
 `LevelTables.mask_of` is the one conversion back.  Transfer systems live
-here as well.  The equivalent encoding by categories of G-set maps is in
-`category.py`; it shares the engine but not the rules.
+here as well, on the same engine.  The equivalent encoding by categories
+of G-set maps is in `category.py`; it shares the engine but not the rules.
 """
 from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import cached_property
 from itertools import chain, product, repeat
 
 from .errors import (CheckReport, CutoffOverflowError, GuardExceededError,
                      TheoremViolation, ValidationError, require_ints)
 from .groups import FiniteGroup, orbits, subgroup_lattice
-from .poset import Poset, _bits, _mask, close, closure_lattice
+from .poset import Poset, _bits, _mask, close, closure_lattice, rule_table
 
 LEVEL_GUARD = 1200      # level classes any enumeration accepts
 ALL_LEVEL_GUARD = 80    # level classes the unfiltered "all" lattice accepts
-TRANSFER_PAIR_GUARD = 22  # containment pairs of a brute-force transfer search
-
-
-def _ok():
-    return CheckReport(True)
 
 
 class LevelTables:
@@ -96,11 +91,10 @@ class LevelTables:
         self.class_id = []
         self.cls_size = []
         for hi in range(self.n_sids):
-            lst = sorted(self._enumerate_level(hi, self.level_cutoff[hi]),
-                         key=lambda c: (self._size_of(hi, c), c))
-            self.classes.append(lst)
+            sizes, lst = zip(*self._enumerate_level(hi, self.level_cutoff[hi]))
+            self.classes.append(list(lst))
             self.class_id.append({c: i for i, c in enumerate(lst)})
-            self.cls_size.append(tuple(self._size_of(hi, c) for c in lst))
+            self.cls_size.append(sizes)
         # class cid at level hi is bit offset[hi] + cid of a system's mask
         self.offset = []
         self.bit_class = []
@@ -115,16 +109,14 @@ class LevelTables:
     def orbit_size(self, hi: int, k: int) -> int:
         return self.sub_order[hi] // self.sub_order[k]
 
-    def _size_of(self, hi: int, cls: tuple) -> int:
-        return sum(self.orbit_size(hi, k) for k in cls)
-
-    def _enumerate_level(self, hi: int, bound: int):
+    def _enumerate_level(self, hi: int, bound: int) -> list:
+        """(size, class) of each class of at most `bound` points, in order."""
         types = self.orbit_types[hi]
         out = []
 
         def rec(i, left, acc):
             if i == len(types):
-                out.append(tuple(acc))
+                out.append((bound - left, tuple(acc)))
                 return
             rec(i + 1, left, acc)
             size = self.orbit_size(hi, types[i])
@@ -134,7 +126,7 @@ class LevelTables:
                 k += 1
 
         rec(0, bound, [])
-        return [tuple(sorted(c)) for c in out]
+        return sorted(out)
 
     def star(self, hi: int) -> int:
         """Class id of the one-point H-set."""
@@ -142,9 +134,6 @@ class LevelTables:
 
     def empty(self, hi: int) -> int:
         return self.class_id[hi][()]
-
-    def size(self, hi: int, cid: int) -> int:
-        return self.cls_size[hi][cid]
 
     def encode(self, hi: int, cls: tuple):
         """Class id at level hi, or None if it exceeds the level cutoff."""
@@ -216,21 +205,14 @@ class LevelTables:
         cls.extend(self.h_class_rep[hi][m] for m in ind)
         return self.encode(hi, tuple(cls))
 
-    def rules(self, i: int):
-        """The `poset.close` rules of the class at bit i: alone it forces
-        its conjugates and restrictions; with a partner, the single-slot
-        coproducts of the pair with either one in the slot (a symmetric
-        pair rule).  Every class's rules are built on the first call."""
-        return self._rules[i]
-
     @cached_property
-    def _rules(self) -> list:
-        # T fits a slot of type K in S iff |T| <= (cut_H - |S|) // [H:K] + 1,
-        # a prefix of level K's size-sorted classes; each built once, for both
+    def rules(self) -> list:
+        """The `poset.rule_table` of every class bit, built on first use:
+        alone a class forces its conjugates and restrictions; with a
+        partner, the single-slot coproducts with either one in the slot."""
         off = self.offset
-        unary = []
-        forced = [defaultdict(int) for _ in self.bit_class]
-        for i, (hi, cid) in enumerate(self.bit_class):
+
+        def unary(hi, cid):
             u = 0
             if not self.abelian:
                 for g in self.conj_reps:
@@ -240,19 +222,24 @@ class LevelTables:
                 res = self.restrict_cls(hi, ki, cid) if ki != hi else None
                 if res is not None:
                     u |= 1 << (off[ki] + res)
-            unary.append(u)
-            room = self.level_cutoff[hi] - self.cls_size[hi][cid]
-            for ki in set(self.classes[hi][cid]):
-                fit = room // self.orbit_size(hi, ki) + 1
-                for tid in range(bisect_right(self.cls_size[ki], fit)):
-                    out = self.coproduct_single(hi, cid, ki, tid)
-                    if out is None:
-                        raise self.violation("coproduct within the cutoff "
-                                             "not interned", hi, cid, ki, tid)
-                    j = off[ki] + tid
-                    forced[i][1 << j] |= 1 << (off[hi] + out)
-                    forced[j][1 << i] |= 1 << (off[hi] + out)
-        return [(u, sum(f), dict(f)) for u, f in zip(unary, forced)]
+            return u
+
+        def coproducts():
+            # T fits a slot of type K in S iff |T| <= (cut_H - |S|) // [H:K] + 1,
+            # a prefix of level K's size-sorted classes; each built once
+            for i, (hi, cid) in enumerate(self.bit_class):
+                room = self.level_cutoff[hi] - self.cls_size[hi][cid]
+                for ki in set(self.classes[hi][cid]):
+                    fit = room // self.orbit_size(hi, ki) + 1
+                    for tid in range(bisect_right(self.cls_size[ki], fit)):
+                        out = self.coproduct_single(hi, cid, ki, tid)
+                        if out is None:
+                            raise self.violation("coproduct within the cutoff "
+                                                 "not interned", hi, cid, ki, tid)
+                        yield i, off[ki] + tid, 1 << (off[hi] + out)
+
+        return rule_table([unary(hi, cid) for hi, cid in self.bit_class],
+                          coproducts())
 
     def weyl_canonical(self, hi: int, cid: int) -> int:
         """Least class in the orbit of cid under the normalizer of H."""
@@ -453,7 +440,7 @@ def system_check(sys: WeakIndexingSystem) -> CheckReport:
                     if out is not None and out not in adm[hi]:
                         return CheckReport(False, "indexed-coproduct",
                                            (hi, cid, ki, tid, out))
-    return _ok()
+    return CheckReport(True)
 
 
 def close_system(tables: LevelTables, seed, unital_levels=()) -> WeakIndexingSystem:
@@ -507,6 +494,9 @@ def f_infinity(tables: LevelTables) -> WeakIndexingSystem:
 def f_zero(tables: LevelTables, family) -> WeakIndexingSystem:
     """Empty and one-point sets on a downward-closed family of subgroups."""
     family = frozenset(family)
+    require_ints(tuple(family), "subgroup family")
+    if not family <= set(range(tables.n_sids)):
+        raise ValidationError(f"subgroup ids must lie in range({tables.n_sids})")
     for hi in family:
         for ki in tables.sub_sids[hi]:
             if ki not in family:
@@ -525,9 +515,9 @@ def _families(tables: LevelTables):
     """Downward-closed, conjugation-stable subgroup families, as sid sets:
     the closed sets where H forces its subgroups and its conjugates."""
     t = tables
-    rules = [(_mask(t.sub_sids[hi]) | _mask(row[hi] for row in t.conj_sid),
-              0, {}) for hi in range(t.n_sids)]
-    found = closure_lattice(rules.__getitem__, 0, (1 << t.n_sids) - 1)
+    unary = [_mask(t.sub_sids[hi]) | _mask(row[hi] for row in t.conj_sid)
+             for hi in range(t.n_sids)]
+    found = closure_lattice(rule_table(unary, ()), 0, (1 << t.n_sids) - 1)
     return sorted((frozenset(_bits(m)) for m in found),
                   key=lambda f: (len(f), sorted(f)))
 
@@ -665,7 +655,7 @@ def transfer_check(ts: TransferSystem) -> CheckReport:
             m = lat.index_of[lat.nodes[k].members & lat.nodes[l].members]
             if (m, l) not in ts.rel:
                 return CheckReport(False, "restriction", (k, h, l))
-    return _ok()
+    return CheckReport(True)
 
 
 def transfer_system_of(sys: WeakIndexingSystem) -> TransferSystem:
@@ -697,18 +687,22 @@ def transfer_system_of(sys: WeakIndexingSystem) -> TransferSystem:
 
 
 def enumerate_transfer_systems(group: FiniteGroup) -> Poset:
-    """All transfer systems on the subgroup lattice, by brute force."""
+    """All transfer systems: the closed sets of strict containment pairs
+    K < H, where a pair forces its conjugates and its restrictions (K ∩ L,
+    L) for the L <= H not in K, and (K, H) with (H, L) forces (K, L)."""
     lat = subgroup_lattice(group)
     n = len(lat.nodes)
     strict = [(k, h) for k in range(n) for h in range(n)
               if k != h and lat.leq[k][h]]
-    if len(strict) > TRANSFER_PAIR_GUARD:
-        raise GuardExceededError(f"{len(strict)} containment pairs exceed "
-                                 f"the guard of {TRANSFER_PAIR_GUARD}")
-    found = []
-    for bits in range(1 << len(strict)):
-        rel = {strict[i] for i in range(len(strict)) if bits >> i & 1}
-        ts = TransferSystem(group, rel, validate=False)
-        if transfer_check(ts):
-            found.append(ts)
+    bit = {pair: i for i, pair in enumerate(strict)}
+    members = [x.members for x in lat.nodes]
+    unary = [_mask(bit[row[k], row[h]] for row in lat.conj_table)
+             | _mask(bit[lat.index_of[members[k] & members[l]], l]
+                     for l in range(n) if lat.leq[l][h] and not lat.leq[l][k])
+             for k, h in strict]
+    rules = rule_table(unary, ((bit[k, h], bit[h, l], 1 << bit[k, l])
+                               for k, h in strict for l in range(n)
+                               if l != h and lat.leq[h][l]))
+    found = [TransferSystem(group, [strict[i] for i in _bits(m)], validate=False)
+             for m in closure_lattice(rules, 0, (1 << len(strict)) - 1)]
     return Poset(found, leq=operator.le, key=lambda s: s.sort_key())

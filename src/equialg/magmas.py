@@ -60,6 +60,7 @@ class CoefficientSystem:
     __slots__ = ("p", "size_e", "sigma", "size_g", "r")
 
     def __init__(self, p, size_e, sigma, size_g, r):
+        require_ints((p, size_e, size_g), "p and the carrier sizes")
         if not _is_prime(p):
             raise ValidationError("p must be prime")
         sigma, r = tuple(sigma), tuple(r)

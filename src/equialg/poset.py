@@ -1,14 +1,16 @@
 """Small finite posets, ordered by a predicate or by inclusion of int
 masks, with Hasse-diagram and JSON export, and the one closure engine of
-every closed-set search: `close` and `closure_lattice` work on int
-bitmasks, with per-element rules supplied by `groups._product_rules`,
-`indexing._families`, `indexing.LevelTables` and `category._Ops`: `close`
-by semi-naive evaluation, `closure_lattice` by Fast Close-by-One."""
+every closed-set search: `close` (semi-naive evaluation) and
+`closure_lattice` (Fast Close-by-One) on int bitmasks, under the rules of
+`rule_table` that `groups._product_rules`, `indexing._families`,
+`indexing.LevelTables`, `indexing.enumerate_transfer_systems` and
+`category._Ops` supply."""
 from __future__ import annotations
 
 import hashlib
 import io
 import json
+from collections import defaultdict
 from functools import reduce
 from operator import and_, or_
 
@@ -42,15 +44,25 @@ def _bits(mask: int):
         mask ^= low
 
 
+def rule_table(unary, pairs) -> list:
+    """The rule list of `close` and `closure_lattice`: entry i is
+    (unary[i], the mask of i's partners, {partner's one-bit mask: what the
+    pair forces}), where each (i, j, forced) of `pairs` says that i and j
+    together force the mask `forced`, in either order."""
+    forced = [defaultdict(int) for _ in unary]
+    for i, j, m in pairs:
+        forced[i][1 << j] |= m
+        forced[j][1 << i] |= m
+    return [(u, sum(f), dict(f)) for u, f in zip(unary, forced)]
+
+
 def close(rules, seeds: int, base: int = 0) -> int:
     """Least closed mask containing `base`, which must be closed, and
-    `seeds`, by semi-naive evaluation.
+    `seeds`, by semi-naive evaluation, under a `rule_table` list.
 
-    `rules(i)` is (the mask i forces alone, the mask of its partners,
-    {partner's one-bit mask: the mask the pair forces}); the pair rule
-    must be symmetric.  Only elements outside `base` enter the worklist,
-    and popping m applies its pair rules with every partner already in the
-    set, so whichever member of a pair is popped later sees the other.
+    Only elements outside `base` enter the worklist, and popping m applies
+    its pair rules with every partner already in the set, so whichever
+    member of a pair is popped later sees the other.
     """
     closed = base
     todo = seeds & ~closed
@@ -58,7 +70,7 @@ def close(rules, seeds: int, base: int = 0) -> int:
     while todo:
         low = todo & -todo
         todo ^= low
-        unary, partners, forced = rules(low.bit_length() - 1)
+        unary, partners, forced = rules[low.bit_length() - 1]
         new = unary
         both = partners & closed
         while both:

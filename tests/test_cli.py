@@ -40,10 +40,21 @@ def test_enumerate_trivial_group_single_node(capsys):
     assert "2 weak indexing systems" in out
 
 
-def test_enumerate_guard_exit_2(capsys):
-    code, _, err = run(capsys, "enumerate", "--group", "cyclic:36",
+def test_enumerate_guard_exit_2(tmp_path, capsys):
+    # C2^3 has more transfer systems than the closed-set guard lists
+    table = tmp_path / "c2c2c2.json"
+    c2 = equialg.cyclic_group(2)
+    table.write_text(equialg.direct_product(equialg.direct_product(c2, c2),
+                                            c2).to_json())
+    code, _, err = run(capsys, "enumerate", "--group", str(table),
                        "--transfer-systems")
     assert code == 2 and "guard" in err
+
+
+def test_enumerate_transfer_systems_c36(capsys):
+    code, out, _ = run(capsys, "enumerate", "--group", "cyclic:36",
+                       "--transfer-systems")
+    assert code == 0 and out == "C36: 1396 transfer systems\n"
 
 
 @pytest.mark.parametrize("argv", [

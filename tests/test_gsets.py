@@ -14,6 +14,7 @@ import equialg
 from equialg import (FiniteGroup, RepDimension, Subgroup, TransferSystem,
                      ValidationError, cyclic_group, direct_product, subgroups)
 from equialg import gsets
+from equialg.connectivity import disk_conn_c2
 from equialg.errors import GuardExceededError, TheoremViolation
 from equialg.gsets import (GSet, GSetMap, Span, coinduce, compose_spans,
                            distinguished_fixed_point, double_cosets,
@@ -21,6 +22,8 @@ from equialg.gsets import (GSet, GSetMap, Span, coinduce, compose_spans,
                            hom_count, induce, is_isomorphic, orbit_decompose,
                            orbit_projection, pullback, restrict,
                            spans_equivalent, terminal_map)
+from equialg.indexing import f_zero, level_tables
+from equialg.magmas import CoefficientSystem
 
 C2 = cyclic_group(2)
 C4 = cyclic_group(4)
@@ -636,6 +639,22 @@ def test_induce_and_coinduce_match_the_transporter_loops(group):
 def test_constructors_reject_non_integral_entries(build):
     """Each of these was truncated by `int()` and accepted."""
     with pytest.raises(ValidationError, match="must hold integers"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: f_zero(level_tables(C2, 2), [7]),
+    lambda: f_zero(level_tables(C2, 2), [0.0]),
+    lambda: CoefficientSystem(2.0, 1, [0], 1, [0]),
+    lambda: disk_conn_c2(1, 1, ("e",)),
+    lambda: disk_conn_c2(1, 1, ("G", 2)),
+    lambda: disk_conn_c2(1.5, 1, ("e", 2))],
+    ids=["f_zero-7", "f_zero-0.0", "coefficients-2.0", "disk-e-short",
+         "disk-G-short", "disk-1.5"])
+def test_malformed_inputs_raise_validation_error(build):
+    """The first five escaped as IndexError or TypeError; the last was
+    computed as if 1.5 were a multiplicity."""
+    with pytest.raises(ValidationError):
         build()
 
 

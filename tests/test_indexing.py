@@ -1,6 +1,7 @@
 """Weak indexing systems and categories, transfer systems, enumeration."""
 import gc
 import hashlib
+import operator
 import os
 import random
 import subprocess
@@ -37,7 +38,7 @@ from equialg.indexing import (LevelTables, TransferSystem, WeakIndexingSystem,
                               level_tables, meet, system_check,
                               transfer_check, transfer_system_of,
                               truncate_system)
-from equialg.poset import LATTICE_GUARD, _bits, _mask, close
+from equialg.poset import LATTICE_GUARD, Poset, _bits, _mask, close
 
 C1 = trivial_group()
 C2 = cyclic_group(2)
@@ -553,6 +554,16 @@ def test_category_json_export_is_pinned(group, cutoff, which):
         CATEGORY_JSON_SHA256[group, cutoff, which]
 
 
+@pytest.mark.parametrize("enumerate_", [enumerate_systems,
+                                        enumerate_categories],
+                         ids=["systems", "categories"])
+def test_enumerations_reject_an_unknown_filter(enumerate_):
+    """`enumerate_categories` read any filter but "unital" and
+    "almost_unital" as "all"."""
+    with pytest.raises(ValidationError, match="unknown filter 'bogus'"):
+        enumerate_(C2, 4, "bogus")
+
+
 # -- the map-class operations against the recursive references -------------
 
 def reference_matchings(left, right):
@@ -717,8 +728,7 @@ def test_one_pass_map_tables_match_the_references(group, cutoff):
         assert compose_classes(t, mc[u], mc[v]) == out
     for (u, v), out in pullbacks.items():
         assert pullback_classes(t, mc[u], mc[v]) == out
-    assert [ops.rules(u) for u in range(len(mc))] == \
-        reference_map_rules(ops, composites, pullbacks)
+    assert ops.rules == reference_map_rules(ops, composites, pullbacks)
 
 
 def test_map_class_operations_match_the_recursion_on_s3():
@@ -751,24 +761,47 @@ def test_map_tables_compute_each_matched_pair_once(monkeypatch):
             equialg.category, f"{name}_classes",
             lambda t, a, b, log=calls[name], real=real:
             log.append((ops.id_of[a], ops.id_of[b])) or real(t, a, b))
-    ops.rules(0)
+    ops.rules[0]
     composable, over_one_cod = _matched_pairs(ops)
     assert sorted(calls["compose"]) == composable and len(composable) == 1533
     assert sorted(calls["pullback"]) == over_one_cod and \
         len(over_one_cod) == 1962
 
 
-def d8_group():
-    """Symmetries of a square on its corners: non-abelian with a centre, so
-    some rows of the conjugation table repeat."""
-    elems = [(0, 1, 2, 3)]
+def dihedral_group(n):
+    """Symmetries of a regular n-gon on its corners, the permutations
+    generated by a rotation and a reflection, in order of discovery."""
+    elems = [tuple(range(n))]
     for x in elems:
-        for g in [(1, 2, 3, 0), (0, 3, 2, 1)]:
+        for g in [tuple((i + 1) % n for i in range(n)),
+                  tuple(-i % n for i in range(n))]:
             y = tuple(g[i] for i in x)
             if y not in elems:
                 elems.append(y)
-    return FiniteGroup([[elems.index(tuple(p[q[i]] for i in range(4)))
-                         for q in elems] for p in elems], name="D8")
+    return FiniteGroup([[elems.index(tuple(p[q[i]] for i in range(n)))
+                         for q in elems] for p in elems], name=f"D{2 * n}")
+
+
+def d8_group():
+    """Symmetries of a square on its corners: non-abelian with a centre, so
+    some rows of the conjugation table repeat."""
+    return dihedral_group(4)
+
+
+def q8_group():
+    """The quaternion group: element 4s + u is (-1)^s times unit u of
+    (1, i, j, k), with ij = k, jk = i and ki = j."""
+    def mul(a, b):
+        (s, u), (t, v) = divmod(a, 4), divmod(b, 4)
+        if u == 0 or v == 0:
+            w, sign = u + v, 0
+        elif u == v:
+            w, sign = 0, 1
+        else:
+            w, sign = 6 - u - v, int((v - u) % 3 != 1)
+        return 4 * ((s + t + sign) % 2) + w
+    return FiniteGroup([[mul(a, b) for b in range(8)] for a in range(8)],
+                       name="Q8")
 
 
 def reference_families(tables):
@@ -977,7 +1010,41 @@ RULE_TABLES = pytest.mark.parametrize("group, cutoff", [
 def test_one_pass_rules_match_the_per_class_build(group, cutoff):
     t = level_tables(group, cutoff)
     for i in range(len(t.bit_class)):
-        assert t.rules(i) == reference_rules(t, i)
+        assert t.rules[i] == reference_rules(t, i)
+
+
+def tables_digest(t):
+    """SHA-256 of the repr of the interned classes, their sizes, ids and
+    bits, the rules (partners sorted) and the conjugation table."""
+    rules = [(u, p, sorted(f.items())) for u, p, f in t.rules]
+    data = [t.classes, t.cls_size, [sorted(d.items()) for d in t.class_id],
+            t.offset, t.bit_class, rules, t.conj_sid]
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("group, cutoff, digest", [
+    (C2, 6,
+     "f597ad5890203cb14935c4c36579f2dff52925dc9b0e734b8256f809596c8254"),
+    (C4, 12,
+     "f1962a156709382b9dffb37e84728f3ede285044d29090336906da3263debc30"),
+    (cyclic_group(6), 12,
+     "7cb4a130fa59350b61b9224213c9265b781d73f8cde5ddf2bfb7a0238dace727"),
+    (direct_product(C2, C2), 8,
+     "7de3cef071b6995f9209f73403a58ca14b1f9737f5524d137e06407ad5fc8c38"),
+    (s3_group(), 12,
+     "3095a54fa19dcd470ad2ca3638c0af7736dd886341dc741bb6b146c794fc786d"),
+    (d8_group(), 8,
+     "012dcfdb4c33cf5cc4a6f0270c82b32ae8b78fb41092e3094ed7308c0a7e9f48"),
+    (cyclic_group(8), 24,
+     "567eb7a56a6f02ed9cc85e288c02346693cff644ea643f4b06cee1bd2976a282"),
+    (q8_group(), 8,
+     "b88a4485d28bcc3482c1ae92f8dc4d35dfca714e6d4bd1c0a5eaaae37d2d471a"),
+], ids=["C2-6", "C4-12", "C6-12", "C2xC2-8", "S3-12", "D8-8", "C8-24",
+        "Q8-8"])
+def test_level_tables_are_pinned(group, cutoff, digest):
+    """Every table a system's mask is read and closed by, pinned: any
+    change to the classes, their order or their rules shows here."""
+    assert tables_digest(level_tables(group, cutoff)) == digest
 
 
 @pytest.mark.parametrize("group, cutoff, fitting", [
@@ -996,7 +1063,7 @@ def test_rules_compute_each_fitting_coproduct_once(monkeypatch, group,
     real = LevelTables.coproduct_single
     monkeypatch.setattr(LevelTables, "coproduct_single",
                         lambda self, *a: calls.append(a) or real(self, *a))
-    t.rules(0)
+    t.rules[0]
     assert sorted(calls) == expected and len(calls) == fitting
 
 
@@ -1127,6 +1194,60 @@ def test_transfer_counts_catalan():
         assert len(enumerate_transfer_systems(cyclic_group(n))) == expect
 
 
+def reference_transfer_systems(group):
+    """Every transfer system, by a `transfer_check` of each of the 2^pairs
+    relations on the strict containment pairs: the search the closure
+    replaced."""
+    lat = subgroup_lattice(group)
+    n = len(lat.nodes)
+    strict = [(k, h) for k in range(n) for h in range(n)
+              if k != h and lat.leq[k][h]]
+    found = []
+    for bits in range(1 << len(strict)):
+        rel = {strict[i] for i in range(len(strict)) if bits >> i & 1}
+        ts = TransferSystem(group, rel, validate=False)
+        if transfer_check(ts):
+            found.append(ts)
+    return Poset(found, leq=operator.le, key=lambda s: s.sort_key())
+
+
+@pytest.mark.parametrize("group", [
+    C1, C2, C4, cyclic_group(8), cyclic_group(16), cyclic_group(6),
+    cyclic_group(12), direct_product(C2, C2), s3_group(),
+    direct_product(cyclic_group(3), cyclic_group(3)), q8_group(),
+    dihedral_group(5)],
+    ids=["C1", "C2", "C4", "C8", "C16", "C6", "C12", "C2xC2", "S3", "C3xC3",
+         "Q8", "D10"])
+def test_transfer_closure_matches_the_brute_force(group):
+    poset = enumerate_transfer_systems(group)
+    ref = reference_transfer_systems(group)
+    assert poset.nodes == ref.nodes
+    assert poset.to_json() == ref.to_json()
+    assert poset.to_dot("transfers") == ref.to_dot("transfers")
+
+
+def test_transfer_counts_catalan_past_c8():
+    """Catalan numbers on C16, C32 and C64 (Balchin-Barnes-Roitzheim,
+    "N-infinity operads and associahedra").  C64 has 21 containment
+    pairs, so a search over every relation would test 2^21 of them."""
+    for n, expect in [(16, 42), (32, 132), (64, 429)]:
+        assert len(enumerate_transfer_systems(cyclic_group(n))) == expect
+
+
+@pytest.mark.parametrize("group, count", [
+    (d8_group(), 294), (dihedral_group(6), 3133)], ids=["D8", "D12"])
+def test_every_dihedral_transfer_closure_is_a_transfer_system(
+        monkeypatch, group, count):
+    """D8 has 24 containment pairs and D12 48.  The order of the 3133
+    nodes of D12 takes 9.8 million `leq` tests, and this checks the
+    nodes alone, so the poset is replaced by the sorted node list."""
+    monkeypatch.setattr(equialg.indexing, "Poset",
+                        lambda nodes, leq, key: sorted(nodes, key=key))
+    nodes = enumerate_transfer_systems(group)
+    assert len(nodes) == count == len(set(nodes))
+    assert all(transfer_check(ts) for ts in nodes)
+
+
 def test_transfer_of_unital_systems_and_monotone():
     poset = enumerate_systems(C4, 12, "unital")
     for s in poset:
@@ -1195,9 +1316,10 @@ def test_transfer_extraction_needs_unital():
      "1244 level classes exceed the guard of 1200; lower the cutoff"),
     (lambda: enumerate_systems(C2, 20, "all"),
      "132 level classes exceed the guard of 80"),
+    # 50 containment pairs: refused by the closed-set guard, at once
     (lambda: enumerate_transfer_systems(
         direct_product(direct_product(C2, C2), C2)),
-     "50 containment pairs exceed the guard of 22"),
+     "more than 25000 closed sets exceed the lattice guard"),
     (lambda: enumerate_categories(C2, 8),
      "3960 map classes exceed the guard of 400"),
     # under the level-class guards, but with 4,260,274 and 66,913 systems
