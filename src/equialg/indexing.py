@@ -15,11 +15,12 @@ the truncation.
 
 A system is stored as one int mask over the tables' classes and nothing
 else.  Closure, joins, meets and exhaustive enumeration build that mask
-through `poset.close` over `LevelTables.rules`; the per-level id sets
-(`WeakIndexingSystem.admissible`) are a view derived from it, and
-`LevelTables.mask_of` is the one conversion back.  Transfer systems live
-here as well, on the same engine.  The equivalent encoding by categories
-of G-set maps is in `category.py`; it shares the engine but not the rules.
+through `poset.close` and `poset.join` over `LevelTables.rules`; the
+per-level id sets (`WeakIndexingSystem.admissible`) are a view derived
+from it, and `LevelTables.mask_of` is the one conversion back.  Transfer
+systems live here as well, on the same engine.  The equivalent encoding
+by categories of G-set maps is in `category.py`; it shares the engine but
+not the rules.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .errors import (CheckReport, CutoffOverflowError, GuardExceededError,
                      TheoremViolation, ValidationError, require_ints)
 from .groups import FiniteGroup, orbits, subgroup_lattice
 from .poset import Poset, _bits, _mask, close, closure_lattice, rule_table
+from .poset import join as join_masks
 
 LEVEL_GUARD = 1200      # level classes any enumeration accepts
 ALL_LEVEL_GUARD = 80    # level classes the unfiltered "all" lattice accepts
@@ -299,7 +301,11 @@ class WeakIndexingSystem:
     """Admissible H-set classes for every subgroup H of a fixed group, stored
     as one mask over the tables' class bits: class cid at level H is bit
     `tables.offset[H] + cid`.  `admissible` is the per-level view of the
-    mask, and `tables.mask_of` builds a mask from per-level id sets."""
+    mask, and `tables.mask_of` builds a mask from per-level id sets.
+
+    With `validate=False` the mask is trusted, unchecked; `join` trusts
+    both of its arguments to be closed, so an unclosed mask built this way
+    gives a wrong join, with no error."""
 
     __slots__ = ("tables", "mask", "_key")
 
@@ -455,12 +461,14 @@ def close_system(tables: LevelTables, seed, unital_levels=()) -> WeakIndexingSys
 
 
 def join(a: WeakIndexingSystem, b: WeakIndexingSystem) -> WeakIndexingSystem:
-    """Least system above both; `a` must be a weak indexing system, since
-    `b` is closed over it without revisiting what `a` forces."""
+    """Least system above both; `a` and `b` must both be weak indexing
+    systems, since `poset.join` applies only the rules across their
+    differences."""
     if a.tables is not b.tables:
         raise ValidationError("join needs a shared group and cutoff")
     t = a.tables
-    return WeakIndexingSystem(t, close(t.rules, b.mask, a.mask), validate=False)
+    return WeakIndexingSystem(t, join_masks(t.rules, a.mask, b.mask),
+                              validate=False)
 
 
 def meet(a: WeakIndexingSystem, b: WeakIndexingSystem) -> WeakIndexingSystem:
@@ -567,10 +575,14 @@ def _enumerate_over_core(tables, core_levels, seed_levels):
     if key not in t.cores:
         candidates = _mask(t.offset[hi] + cid for hi in seed_levels
                            for cid in range(len(t.classes[hi])))
-        t.cores[key] = [
-            WeakIndexingSystem(t, m, validate=False)
-            for m in closure_lattice(t.rules, t.seed_mask(core_levels),
-                                     candidates)]
+        try:
+            found = closure_lattice(t.rules, t.seed_mask(core_levels),
+                                    candidates)
+        except GuardExceededError as exc:
+            raise GuardExceededError(
+                f"{exc}; a filter or a lower cutoff gives fewer") from None
+        t.cores[key] = [WeakIndexingSystem(t, m, validate=False)
+                        for m in found]
     return t.cores[key]
 
 

@@ -51,6 +51,23 @@ def test_enumerate_guard_exit_2(tmp_path, capsys):
     assert code == 2 and "guard" in err
 
 
+def test_transfer_systems_guard_gives_no_filter_or_cutoff_advice(
+        tmp_path, capsys):
+    """--transfer-systems reads neither --filter nor --cutoff, so the
+    closed-set guard must not suggest them; the systems path still does."""
+    table = tmp_path / "c2c2c2.json"
+    c2 = equialg.cyclic_group(2)
+    table.write_text(equialg.direct_product(equialg.direct_product(c2, c2),
+                                            c2).to_json())
+    code, out, err = run(capsys, "enumerate", "--group", str(table),
+                         "--transfer-systems")
+    assert code == 2 and not out
+    assert err.startswith("guard:") and "closed sets" in err
+    assert "filter" not in err and "cutoff" not in err
+    code, _, err = run(capsys, "enumerate", "--group", "cyclic:3")
+    assert code == 2 and "a filter or a lower cutoff gives fewer" in err
+
+
 def test_enumerate_transfer_systems_c36(capsys):
     code, out, _ = run(capsys, "enumerate", "--group", "cyclic:36",
                        "--transfer-systems")

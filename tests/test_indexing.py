@@ -371,6 +371,52 @@ def test_join_of_transfer_generated_contains_composite_transfer():
     assert transfer_system_of(joined).related(0, 2)
 
 
+# `poset.join` applies only the rules across two systems' differences, so
+# it needs both to be closed masks: a mask is a system exactly when it holds
+# every one-point set and `close` leaves it alone
+CLOSED_TABLES = pytest.mark.parametrize("group, cutoff", [
+    (C2, 6), (C4, 12), (cyclic_group(6), 12), (direct_product(C2, C2), 8)],
+    ids=["C2-6", "C4-12", "C6-12", "C2xC2-8"])
+
+
+def _mask_samples(t, rng, count):
+    """Masks over the classes of `t`: closures of a few classes over the
+    one-point sets (some unital), each as it is, less one class or plus one
+    class, and masks drawn at random."""
+    n = len(t.bit_class)
+    star = t.seed_mask()
+    for k in range(count):
+        seeds = _mask(rng.sample(range(n), rng.randint(0, 3)))
+        base = close(t.rules, seeds | t.seed_mask(
+            range(t.n_sids) if k % 3 == 0 else ()))
+        yield base
+        yield base & ~(1 << rng.choice(list(_bits(base))))
+        yield base | 1 << rng.randrange(n)
+        yield rng.getrandbits(n) | star * (k % 2)
+
+
+@CLOSED_TABLES
+def test_systems_are_the_closed_masks_over_the_point_sets(group, cutoff):
+    t = level_tables(group, cutoff)
+    star = t.seed_mask()
+    outcomes = set()
+    for mask in _mask_samples(t, random.Random(cutoff), 25):
+        expected = not star & ~mask and close(t.rules, mask) == mask
+        assert bool(system_check(WeakIndexingSystem(t, mask, validate=False))) \
+            == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+@CLOSED_TABLES
+def test_named_systems_are_closed_masks(group, cutoff):
+    t = level_tables(group, cutoff)
+    named = [f_trivial(t), f_infinity(t), f_complete(t)] + [
+        f_zero(t, family) for family in _families(t)]
+    for system in named:
+        assert close(t.rules, system.mask) == system.mask
+
+
 # -- generation -------------------------------------------------------------
 
 def test_generate_empty_is_trivial():
@@ -728,7 +774,8 @@ def test_one_pass_map_tables_match_the_references(group, cutoff):
         assert compose_classes(t, mc[u], mc[v]) == out
     for (u, v), out in pullbacks.items():
         assert pullback_classes(t, mc[u], mc[v]) == out
-    assert ops.rules == reference_map_rules(ops, composites, pullbacks)
+    assert [rule[:3] for rule in ops.rules] == \
+        reference_map_rules(ops, composites, pullbacks)
 
 
 def test_map_class_operations_match_the_recursion_on_s3():
@@ -1010,13 +1057,56 @@ RULE_TABLES = pytest.mark.parametrize("group, cutoff", [
 def test_one_pass_rules_match_the_per_class_build(group, cutoff):
     t = level_tables(group, cutoff)
     for i in range(len(t.bit_class)):
-        assert t.rules[i] == reference_rules(t, i)
+        assert t.rules[i][:3] == reference_rules(t, i)
+
+
+def transfer_rules(group):
+    """The rule table `enumerate_transfer_systems` closes over for `group`."""
+    built = []
+    real = equialg.indexing.rule_table
+
+    def capture(unary, pairs):
+        built.append(real(unary, pairs))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equialg.indexing, "rule_table", capture)
+        enumerate_transfer_systems(group)
+    return built[-1]
+
+
+def assert_inverse_of_forced(rules):
+    """Each entry's `sources` is exactly its `forced` map inverted (the
+    partner v is in sources[x] just when x is in forced[v]), and its
+    `targets` and `partners` are the keys of the two maps."""
+    for _, partners, forced, targets, sources in rules:
+        inverse = defaultdict(int)
+        for v, m in forced.items():
+            for x in _bits(m):
+                inverse[1 << x] |= v
+        assert sources == inverse
+        assert targets == sum(inverse)
+        assert partners == sum(forced)
+
+
+@RULE_TABLES
+def test_rule_sources_invert_the_forced_masks(group, cutoff):
+    assert_inverse_of_forced(level_tables(group, cutoff).rules)
+
+
+@pytest.mark.parametrize("rules", [
+    lambda: _ops_for(level_tables(C2, 4)).rules,
+    lambda: transfer_rules(d8_group())], ids=["C2-4-map-classes",
+                                              "D8-transfers"])
+def test_other_rule_sources_invert_the_forced_masks(rules):
+    assert_inverse_of_forced(rules())
 
 
 def tables_digest(t):
     """SHA-256 of the repr of the interned classes, their sizes, ids and
-    bits, the rules (partners sorted) and the conjugation table."""
-    rules = [(u, p, sorted(f.items())) for u, p, f in t.rules]
+    bits, the rules (unary mask, partners and forced map with its items
+    sorted) and the conjugation table."""
+    rules = [(u, p, sorted(f.items())) for u, p, f, _, _ in t.rules]
     data = [t.classes, t.cls_size, [sorted(d.items()) for d in t.class_id],
             t.offset, t.bit_class, rules, t.conj_sid]
     return hashlib.sha256(repr(data).encode()).hexdigest()

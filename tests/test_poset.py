@@ -1,6 +1,7 @@
 """The up-set-mask `Poset`, built from `leq` or by inclusion of masks,
-gated against the n-by-n order it replaced, and the Fast Close-by-One
-`closure_lattice` against the frontier search it replaced."""
+gated against the n-by-n order it replaced, the Fast Close-by-One
+`closure_lattice` against the frontier search it replaced, and `close` and
+`join` against the closure they replaced."""
 import io
 import json
 import operator
@@ -12,11 +13,12 @@ import equialg.poset
 from equialg import cyclic_group, direct_product
 from equialg.category import _ops_for, enumerate_categories
 from equialg.errors import ValidationError
-from equialg.groups import FiniteGroup
+from equialg.groups import FiniteGroup, _product_rules
 from equialg.indexing import (enumerate_systems, enumerate_transfer_systems,
                               level_tables)
 from equialg.poset import (Poset, _bits, _mask, close, closure_lattice,
-                           fingerprint)
+                           fingerprint, join, rule_table)
+from test_indexing import d8_group, q8_group, transfer_rules
 
 C2 = cyclic_group(2)
 
@@ -331,3 +333,127 @@ def test_conj_sid_table_matches_conjugation(group):
         for sid in range(t.n_sids):
             moved = frozenset(group.conj(g, a) for a in t.members[sid])
             assert t.conj_sid[g][sid] == t.lat.index_of[moved]
+
+
+# -- close and join against the closure they replaced -------------------------
+
+def reference_close(rules, seeds, base=0):
+    """The former `close`: `base` must be closed, and popping m applies m's
+    pairs with every partner already in the set, so a pair whose members
+    are both popped is applied twice."""
+    closed = base
+    todo = seeds & ~closed
+    closed |= todo
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        unary, partners, forced = rules[low.bit_length() - 1][:3]
+        new = unary
+        both = partners & closed
+        while both:
+            v = both & -both
+            new |= forced[v]
+            both ^= v
+        new &= ~closed
+        closed |= new
+        todo |= new
+    return closed
+
+
+# every provider of rules: the classes of weak indexing systems, map
+# classes, containment pairs of transfer systems and group elements
+ENGINE_RULES = {
+    "C2-6": lambda: level_tables(C2, 6).rules,
+    "C4-12": lambda: level_tables(cyclic_group(4), 12).rules,
+    "C6-12": lambda: level_tables(cyclic_group(6), 12).rules,
+    "S3-12": lambda: level_tables(s3_group(), 12).rules,
+    "C2xC2-8": lambda: level_tables(direct_product(C2, C2), 8).rules,
+    "D8-8": lambda: level_tables(d8_group(), 8).rules,
+    "Q8-8": lambda: level_tables(q8_group(), 8).rules,
+    "C2-4-map-classes": lambda: _ops_for(level_tables(C2, 4)).rules,
+    "C12-transfers": lambda: transfer_rules(cyclic_group(12)),
+    "D8-transfers": lambda: transfer_rules(d8_group()),
+    "D8-products": lambda: _product_rules(d8_group()),
+    "Q8-products": lambda: _product_rules(q8_group()),
+}
+
+
+@pytest.mark.parametrize("name", list(ENGINE_RULES))
+def test_close_matches_the_former_closure(name):
+    """From nothing and over closed bases: closures of a few random
+    elements, seeded with a few more."""
+    rules = ENGINE_RULES[name]()
+    rng = random.Random(name)
+    n = len(rules)
+    for _ in range(40):
+        base = reference_close(rules, _mask(rng.sample(range(n),
+                                                       rng.randint(0, 2))))
+        seeds = _mask(rng.sample(range(n), rng.randint(1, 3)))
+        assert close(rules, seeds) == reference_close(rules, seeds)
+        assert close(rules, seeds, base) == reference_close(rules, seeds, base)
+
+
+def _system_masks(group, cutoff, which):
+    return [s.mask for s in enumerate_systems(group, cutoff, which)]
+
+
+@pytest.mark.parametrize("group, cutoff, which", [
+    (cyclic_group(6), 12, "unital"), (cyclic_group(6), 12, "almost_unital"),
+    (s3_group(), 6, "unital"), (s3_group(), 6, "almost_unital")],
+    ids=["C6-12-unital", "C6-12-almost_unital", "S3-6-unital",
+         "S3-6-almost_unital"])
+def test_join_matches_the_former_closure_on_every_pair(group, cutoff, which):
+    rules = level_tables(group, cutoff).rules
+    masks = _system_masks(group, cutoff, which)
+    for k, a in enumerate(masks):
+        for b in masks[k:]:
+            expected = reference_close(rules, b, a)
+            assert join(rules, a, b) == join(rules, b, a) == expected
+
+
+# (rules, the closed masks to join) for sampled pairs
+JOIN_SAMPLES = {
+    "C2xC2-8-unital": lambda: (
+        level_tables(direct_product(C2, C2), 8).rules,
+        _system_masks(direct_product(C2, C2), 8, "unital")),
+    "C4-12-almost_unital": lambda: (
+        level_tables(cyclic_group(4), 12).rules,
+        _system_masks(cyclic_group(4), 12, "almost_unital")),
+    "S3-12-unital": lambda: (
+        level_tables(s3_group(), 12).rules,
+        _system_masks(s3_group(), 12, "unital")),
+    "C2-4-map-classes": lambda: (
+        _map_class_args(4, False)[0],
+        closure_lattice(*_map_class_args(4, False))),
+    "D8-transfers": lambda: (
+        transfer_rules(d8_group()),
+        closure_lattice(transfer_rules(d8_group()), 0,
+                        (1 << len(transfer_rules(d8_group()))) - 1)),
+    "Q8-subgroups": lambda: (
+        _product_rules(q8_group()),
+        closure_lattice(_product_rules(q8_group()), 1, (1 << 8) - 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(JOIN_SAMPLES))
+def test_join_matches_the_former_closure_on_sampled_pairs(name):
+    rules, masks = JOIN_SAMPLES[name]()
+    rng = random.Random(name)
+    for _ in range(300):
+        a, b = rng.choice(masks), rng.choice(masks)
+        assert join(rules, a, b) == reference_close(rules, b, a)
+
+
+def test_close_applies_a_pair_with_itself_and_multi_bit_masks():
+    """0 with itself forces 1 and 2, 1 with 2 forces 3, 3 alone forces 4,
+    and 4 with any of 0-3 forces both 5 and 6: the last is read from the
+    targets side, since 4 has four done partners and two targets."""
+    rules = rule_table([0, 0, 0, 1 << 4, 0, 0, 0], [
+        (0, 0, 0b110), (1, 2, 1 << 3),
+        *((4, j, 0b1100000) for j in range(4))])
+    assert close(rules, 1) == reference_close(rules, 1) == 0b1111111
+    assert close(rules, 0b10) == 0b10
+    assert close(rules, 1 << 4, 0b1111) == 0b1111111
+    assert join(rules, 0b10, 0b100) == 0b1111110
+    assert join(rules, 0b10, 0b10) == 0b10
+    assert join(rules, 0b1111111, 0) == 0b1111111
