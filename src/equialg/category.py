@@ -15,14 +15,19 @@ small scale, and the conversions to and from the system encoding of
 codomain meets a domain, pullbacks over one codomain, summands, and the
 unions that fit the cutoff) are tables, `_Ops.operations`, built in one
 pass on first use; the checker reads them, and the closure rules
-`_Ops.rules` are read off them.  Closure and enumeration run on the
-shared engine of `poset.close` and `poset.closure_lattice`, over int masks
-of class ids.  The two encodings' rules are computed by independent
+`_Ops.rules` are read off them.  A composite or pullback of a pair is a
+recurrence on the first component of the second class: split the first
+class into the part over that component and the rest, and add up the
+operation on the two smaller pairs.  Every sub-problem is a pair of
+classes of the universe, memoised by class ids as a mask while the pass
+runs, so the pairs of one pass share them; a call outside the pass
+keeps its memos for that call only.  Closure and enumeration run on the
+shared engine of `poset.close` and `poset.closure_lattice`, over int
+masks of class ids.  The two encodings' rules are computed by independent
 routines, so their agreement is a real check of the equivalence.
 """
 from __future__ import annotations
 
-import operator
 from collections import defaultdict
 from functools import cached_property
 
@@ -161,82 +166,115 @@ def _picks(left: tuple, base: int):
 def compose_classes(tables: LevelTables, c1: tuple, c2: tuple) -> set:
     """All classes of g∘f over representatives f in c1: T -> S, g in c2: S -> R.
 
-    The components of c1 (the fibers of f over the orbits of S) are dealt
-    to the orbit slots of the fibers of c2 one slot at a time, each moved
-    to its slot's subgroup by a conjugation; a state is the components
-    still to deal, the components of g∘f so far and the fiber being
-    filled, so the orders of dealing that agree are merged as they meet.
+    A recurrence on the first component of c2: the composites are the
+    union, over the sub-multisets A of c1 whose codomain is the domain of
+    c2[0], of the sums x + y with x a composite of A and (c2[0],) and y one
+    of c1 - A and c2[1:].  On one component the fibers of A are dealt to
+    its orbit slots, each moved into its slot by a conjugation.  The
+    sub-problems are pairs of classes of the map-class universe of
+    `tables`, which the first call builds (past `UNIVERSE_GUARD` classes
+    a GuardExceededError, even for one pair); they are memoised for the
+    one pass of `_Ops.operations`, or for this call alone outside it.
+    Both classes must lie within the cutoff (else a ValidationError).
     """
-    if cod_class(tables, c1) != dom_class(tables, c2):
+    ops = _ops_for(tables)
+    u, v = ops.encode_all(tuple(sorted(c)) for c in (c1, c2))
+    if ops.cod[u] != ops.dom[v]:
         return set()
-    states = {(tuple(sorted(c1)), (), ())}
-    for hj, cid in c2:
-        to_hj = tables.h_class_rep[hj]
-        for k in tables.classes[hj][cid]:
-            base = tables.lat.class_rep(k)
-            # each component that fits the slot, as the fibers it fills in
-            moves = {comp: [tuple(to_hj[m] for m in tables.classes[k][moved])
-                            for moved in _transports(tables, base, k, comp[1])]
-                     for comp in set(c1) if comp[0] == base}
-            states = {(rest, done, tuple(sorted(fiber + part)))
-                      for left, done, fiber in states
-                      for comp, rest in _picks(left, base)
-                      for part in moves[comp]}
-        filled = set()
-        for left, done, fiber in states:
-            fid = tables.encode(hj, fiber)
-            if fid is None:
-                raise tables.violation("composite exceeds its level",
-                                       c1, c2, hj, fiber)
-            comp = component(tables, hj, fid)
-            filled.add((left, tuple(sorted(done + (comp,))), ()))
-        states = filled
-    return {done for _, done, _ in states}
+    memo, _, splits = ops.pass_memos or ({}, {}, {})
+    mask = ops.recur(_composite_one, ops.dom, memo, splits, u, v)
+    return {ops.classes[w] for w in _bits(mask)}
 
 
 def pullback_classes(tables: LevelTables, cf: tuple, cg: tuple) -> set:
     """All classes of the base change of cf: T -> S along cg: U -> S,
-    as maps (T x_S U) -> U.  The components of cf are matched one at a
-    time with those of cg over the same base, each pair contributing the
-    restrictions of the fiber of cf to the orbits of the fiber of cg; a
-    state is the components of cf still to match, the pullback so far and
-    the size of its domain.  Unrepresentable pullbacks and those beyond
-    the cutoff are skipped."""
-    if cod_class(tables, cf) != cod_class(tables, cg):
+    as maps (T x_S U) -> U.
+
+    A recurrence on the first component of cg: the pullbacks are the
+    union, over the components f of cf with the base of cg[0], of the sums
+    of the base change of f along cg[0] (the restrictions of the fiber of
+    f to the orbits of the fiber of cg[0]) and a pullback of cf - f along
+    cg[1:].  Unrepresentable pullbacks and those beyond the cutoff are
+    skipped.  As for composites, the first call builds the universe
+    (GuardExceededError past `UNIVERSE_GUARD`), the sub-problems are
+    memoised for the pass or the call, and both classes must lie within
+    the cutoff.
+    """
+    ops = _ops_for(tables)
+    u, v = ops.encode_all(tuple(sorted(c)) for c in (cf, cg))
+    if ops.cod[u] != ops.cod[v]:
         return set()
-    pieces = {(g, f): _base_change(tables, g, f)
-              for g in set(cg) for f in set(cf) if f[0] == g[0]}
-    states = {(tuple(sorted(cf)), (), 0)}
-    for g in sorted(cg):
-        states = {(rest, tuple(sorted(acc + comps)), size + more)
-                  for left, acc, size in states
-                  for f, rest in _picks(left, g[0])
-                  if pieces[g, f] is not None
-                  for more, comps in [pieces[g, f]]
-                  if size + more <= tables.cutoff}
-    return {acc for _, acc, _ in states}
+    _, memo, splits = ops.pass_memos or ({}, {}, {})
+    mask = ops.recur(_pullback_one, ops.cod, memo, splits, u, v)
+    return {ops.classes[w] for w in _bits(mask)}
 
 
-def _base_change(tables, g: tuple, f: tuple):
-    """The pullback of the component f along the component g over the
-    same base orbit: (size of its domain, its components), or None if a
-    restriction is unrepresentable."""
-    (h, fid_g), (_, fid_f) = g, f
+def _composite_one(ops, a: tuple, comp: tuple) -> int:
+    """Mask of the composites of the class a and the class (comp,).  The
+    components of a are dealt to the orbit slots of the fiber of comp one
+    slot at a time; a state is the components still to deal and the fiber
+    so far, so the orders of dealing that agree are merged as they meet."""
+    t = ops.tables
+    hj, cid = comp
+    to_hj = t.h_class_rep[hj]
+    states = {(a, ())}
+    for k in t.classes[hj][cid]:
+        base = t.lat.class_rep(k)
+        # each component that fits the slot, as the fibers it fills in
+        moves = {c: [tuple(to_hj[m] for m in t.classes[k][moved])
+                     for moved in _transports(t, base, k, c[1])]
+                 for c in set(a) if c[0] == base}
+        states = {(rest, tuple(sorted(fiber + part)))
+                  for left, fiber in states
+                  for c, rest in _picks(left, base)
+                  for part in moves[c]}
+    out = 0
+    for _, fiber in states:
+        fid = t.encode(hj, fiber)
+        if fid is None:
+            raise t.violation("composite exceeds its level", a, comp, fiber)
+        out |= 1 << ops.id_of[(component(t, hj, fid),)]
+    return out
+
+
+def _pullback_one(ops, a: tuple, g: tuple) -> int:
+    """Mask of the base change of the class a = (f,) along (g,), both over
+    one orbit: empty if a restriction of the fiber of f to an orbit of the
+    fiber of g is unrepresentable or the result has no id (beyond the
+    cutoff)."""
+    t = ops.tables
+    (h, fid_g), ((_, fid_f),) = g, a
     comps = []
-    for k in tables.classes[h][fid_g]:
-        rcid = tables.restrict_cls(h, k, fid_f)
+    for k in t.classes[h][fid_g]:
+        rcid = t.restrict_cls(h, k, fid_f)
         if rcid is None:
-            return None
-        comps.append(component(tables, k, rcid))
-    return sum(comp_sizes(tables, c)[0] for c in comps), tuple(comps)
+            return 0
+        comps.append(component(t, k, rcid))
+    w = ops.id_of.get(tuple(sorted(comps)))
+    return 0 if w is None else 1 << w
+
+
+def _parts(mc: tuple):
+    """Each distinct sub-multiset of a component multiset, with the rest."""
+    n, seen = len(mc), set()
+    for bits in range(1 << n):
+        part = tuple(mc[i] for i in range(n) if bits >> i & 1)
+        if part not in seen:
+            seen.add(part)
+            yield part, tuple(mc[i] for i in range(n) if not bits >> i & 1)
 
 
 def sub_multisets(mc: tuple) -> set:
     """All proper nonempty sub-multisets of a component multiset."""
-    out = set()
-    n = len(mc)
-    for bits in range(1, (1 << n) - 1):
-        out.add(tuple(mc[i] for i in range(n) if bits >> i & 1))
+    return {part for part, rest in _parts(mc) if part and rest}
+
+
+def _splits(ops, u: int) -> dict:
+    """The (sub-multiset, rest) id pairs of the class u, grouped by the
+    codomain of the sub-multiset."""
+    id_of, out = ops.id_of, defaultdict(list)
+    for part, rest in _parts(ops.classes[u]):
+        out[ops.cod[id_of[part]]].append((id_of[part], id_of[rest]))
     return out
 
 
@@ -261,6 +299,10 @@ class _Ops:
         units = [self.id_of.get((component(tables, h, tables.empty(h)),))
                  for h in tables.lat.class_reps]
         self.units = [u for u in units if u is not None]
+        # while the one pass of `operations` runs, the memos of `recur`:
+        # the sub-problems of composites, those of pullbacks, and the
+        # splits of each class
+        self.pass_memos = None
 
     def core_mask(self, unital: bool) -> int:
         """The isomorphisms and, if `unital`, the units."""
@@ -273,6 +315,41 @@ class _Ops:
             raise ValidationError(
                 f"{exc.args[0]} is not a map class within cutoff "
                 f"{self.tables.cutoff}") from None
+
+    def recur(self, first, side: list, memo: dict, splits: dict,
+              u: int, v: int) -> int:
+        """The mask of the composites (`first` is `_composite_one`, `side`
+        is `self.dom`) or the pullbacks (`_pullback_one`, `self.cod`) of
+        the class ids u and v, by the recurrence of `compose_classes` and
+        `pullback_classes`: the parts of u that meet the head of v have
+        `side[head]` as their codomain.  `memo` holds the sub-problems and
+        `splits` the splits of u; (u, v) itself is not stored, as the one
+        pass asks it once."""
+        mc, id_of = self.classes, self.id_of
+        c2 = mc[v]
+        if len(c2) < 2:
+            return first(self, mc[u], c2[0]) if c2 else 1 << id_of[()]
+        head, tail = id_of[c2[:1]], id_of[c2[1:]]
+        if u not in splits:
+            splits[u] = _splits(self, u)
+        out = 0
+        for a, rest in splits[u].get(side[head], ()):
+            x = self._sub(first, side, memo, splits, a, head)
+            if not x:
+                continue
+            y = self._sub(first, side, memo, splits, rest, tail)
+            for i in _bits(x):
+                for j in _bits(y):  # a union beyond the cutoff has no id
+                    w = id_of.get(tuple(sorted(mc[i] + mc[j])))
+                    if w is not None:
+                        out |= 1 << w
+        return out
+
+    def _sub(self, first, side, memo, splits, u: int, v: int) -> int:
+        """`recur` on a sub-problem, through `memo`."""
+        if (u, v) not in memo:
+            memo[u, v] = self.recur(first, side, memo, splits, u, v)
+        return memo[u, v]
 
     @cached_property
     def operations(self) -> tuple:
@@ -288,18 +365,22 @@ class _Ops:
             by_dom[d].append(v)
         sizes = [class_sizes(t, c) for c in mc]
         composites, pullbacks, summands, unions = [], [], [], []
-        for u, c in enumerate(mc):
-            composites.append([
-                (v, _mask(id_of[m] for m in compose_classes(t, c, mc[v])))
-                for v in by_dom[self.cod[u]]])
-            pullbacks.append([
-                (v, _mask(id_of[m] for m in pullback_classes(t, c, mc[v])))
-                for v in self.by_cod[self.cod[u]]])
-            summands.append(_mask(id_of[m] for m in sub_multisets(c)))
-            src, dst = sizes[u]
-            unions.append([(v, id_of[tuple(sorted(c + mc[v]))])
-                           for v, (s, d) in enumerate(sizes)
-                           if src + s <= t.cutoff and dst + d <= t.cutoff])
+        self.pass_memos = {}, {}, {}
+        try:
+            for u, c in enumerate(mc):
+                composites.append([
+                    (v, _mask(id_of[m] for m in compose_classes(t, c, mc[v])))
+                    for v in by_dom[self.cod[u]]])
+                pullbacks.append([
+                    (v, _mask(id_of[m] for m in pullback_classes(t, c, mc[v])))
+                    for v in self.by_cod[self.cod[u]]])
+                summands.append(_mask(id_of[m] for m in sub_multisets(c)))
+                src, dst = sizes[u]
+                unions.append([(v, id_of[tuple(sorted(c + mc[v]))])
+                               for v, (s, d) in enumerate(sizes)
+                               if src + s <= t.cutoff and dst + d <= t.cutoff])
+        finally:
+            self.pass_memos = None
         return composites, pullbacks, summands, unions
 
     @cached_property
@@ -477,10 +558,11 @@ def enumerate_categories(group: FiniteGroup, cutoff: int,
             f"{len(ops.classes)} map classes exceed the guard of {GROUND_GUARD}")
     found = closure_lattice(ops.rules, ops.core_mask(which == "unital"),
                             (1 << len(ops.classes)) - 1)
-    nodes = [frozenset(ops.classes[i] for i in _bits(m)) for m in found]
+    mask_of = {frozenset(ops.classes[i] for i in _bits(m)): m for m in found}
+    nodes = list(mask_of)
     if which == "almost_unital":
         nodes = [n for n in nodes
                  if WeakIndexingCategory.from_map_classes(tables, n)
                  .to_system().is_almost_unital()]
-    return Poset(nodes, leq=operator.le,
-                 key=lambda n: (len(n), tuple(sorted(n))))
+    return Poset.by_inclusion(nodes, mask_of.__getitem__,
+                              key=lambda n: (len(n), tuple(sorted(n))))

@@ -18,7 +18,8 @@ import pytest
 import equialg
 from equialg import (GuardExceededError, ValidationError, cyclic_group,
                      direct_product, trivial_group)
-from equialg.category import (WeakIndexingCategory, _ops_for, _transports,
+from equialg.category import (WeakIndexingCategory, _Ops, _ops_for,
+                              _pullback_one, _transports,
                               class_sizes, close_category, comp_sizes,
                               component, compose_classes, cod_class,
                               dom_class, enumerate_categories,
@@ -813,6 +814,111 @@ def test_map_tables_compute_each_matched_pair_once(monkeypatch):
     assert sorted(calls["compose"]) == composable and len(composable) == 1533
     assert sorted(calls["pullback"]) == over_one_cod and \
         len(over_one_cod) == 1962
+
+
+# SHA-256 of repr((composites, pullbacks)) of `_Ops.operations` on S3 at
+# cutoff 6, as the per-pair state search built them
+S3_MAP_TABLES_SHA256 = \
+    "eb7084e68cf7d3c7e8629f2f16e65b2c045a069d9b78d5467796f0b51d249b97"
+
+
+def test_s3_map_tables_built_whole_match_the_references():
+    """Non-abelian S3 at cutoff 6, the largest universe of the suite.  The
+    tables are built in one pass, so most entries are assembled from
+    sub-problems that earlier pairs memoised; a seeded sample of the
+    entries whose classes both have two or more components (the ones the
+    recurrence splits) equals the references, and both tables are
+    pinned."""
+    t = LevelTables(s3_group(), 6)
+    ops = _ops_for(t)
+    composites, pullbacks, _, _ = ops.operations
+    assert hashlib.sha256(repr((composites, pullbacks)).encode()).hexdigest() \
+        == S3_MAP_TABLES_SHA256
+    mc = ops.classes
+    rng = random.Random(6)
+    for table, reference in [(composites, reference_compose_classes),
+                             (pullbacks, reference_pullback_classes)]:
+        entries = [(u, v, m) for u, row in enumerate(table) for v, m in row
+                   if len(mc[u]) >= 2 and len(mc[v]) >= 2]
+        sample = rng.sample(entries, 120)
+        assert sum(bin(m).count("1") > 1 for _, _, m in sample) >= 10
+        for u, v, m in sample:
+            assert {mc[w] for w in _bits(m)} == \
+                reference(t, mc[u], mc[v])
+
+
+def test_map_recurrence_matches_the_references_where_transports_branch(
+        monkeypatch):
+    """On S3 every transport is unique: its Weyl groups act trivially on
+    the level classes.  D8 is the smallest group where a fiber moves into
+    its slot by two conjugations that give different classes (the Weyl
+    group of a Klein four subgroup swaps two of its C2s), and its universe
+    at cutoff 8 (119,126 classes) is past `UNIVERSE_GUARD`, raised here.
+    A seeded sample of composable pairs of classes with two or more
+    components, asked one after another within one memo, as the pass asks
+    them, so that later pairs read what earlier ones memoised, equals the
+    reference; some of them branch."""
+    import equialg.category
+    monkeypatch.setattr(equialg.category, "UNIVERSE_GUARD", 200_000)
+    t = LevelTables(d8_group(), 8)
+    ops = _ops_for(t)
+    mc = ops.classes
+    branches = []
+    monkeypatch.setattr(
+        equialg.category, "_transports",
+        lambda *args: branches.append(len(out := _transports(*args))) or out)
+    rng = random.Random(8)
+    many = [v for v, c in enumerate(mc) if len(c) >= 2]
+    pairs = []
+    for v in rng.sample(many, 400):
+        us = [u for u in ops.by_cod[ops.dom[v]] if len(mc[u]) >= 2]
+        if us:
+            pairs.append((rng.choice(us), v))
+    ops.pass_memos = {}, {}, {}  # shared by the calls, as in the pass
+    outs = [compose_classes(t, mc[u], mc[v]) for u, v in pairs]
+    assert len(pairs) > 300 and sum(n > 1 for n in branches) >= 20
+    assert sum(len(out) > 1 for out in outs) >= 50
+    for (u, v), out in zip(pairs, outs):
+        assert out == reference_compose_classes(t, mc[u], mc[v])
+
+
+def test_map_recurrence_memoises_sub_problems_for_one_pass_only(
+        monkeypatch):
+    """A call outside the pass memoises the sub-problems of its recurrence
+    but not its own pair, and drops them when it returns; the one pass
+    leaves no memo behind, also when it raises partway.  A class beyond
+    the cutoff is a ValidationError."""
+    import equialg.category
+    t = LevelTables(C2, 4)
+    ops = _ops_for(t)
+    mc = ops.classes
+    u, v = next((u, v) for u, v in _matched_pairs(ops)[0]
+                if len(mc[u]) >= 2 and len(mc[v]) >= 2)
+    used = []
+    recur = _Ops.recur
+    monkeypatch.setattr(_Ops, "recur", lambda self, *args:
+                        used.append(args[2]) or recur(self, *args))
+    assert compose_classes(t, mc[u], mc[v])
+    assert used[0] and (u, v) not in used[0]
+    assert ops.pass_memos is None
+    calls = []
+
+    def fails_partway(*args):
+        calls.append(args)
+        if len(calls) > 50:
+            raise RuntimeError("partway")
+        return _pullback_one(*args)
+
+    monkeypatch.setattr(equialg.category, "_pullback_one", fails_partway)
+    with pytest.raises(RuntimeError, match="partway"):
+        ops.operations
+    assert ops.pass_memos is None
+    monkeypatch.undo()
+    assert ops.operations[0] and ops.pass_memos is None
+    beyond = ((0, t.star(0)),) * 5
+    for op in [compose_classes, pullback_classes]:
+        with pytest.raises(ValidationError, match="not a map class"):
+            op(t, beyond, beyond)
 
 
 def dihedral_group(n):
