@@ -19,14 +19,11 @@ The two exhaustive sweeps, of interchanging pairs and of semi-Mackey
 functors, are the two halves of one walk, `sweep`, over one generator,
 `_candidates`, which holds their one guard: a non-prime p is a
 `ValidationError`, and p > 3 or a carrier larger than `SWEEP_GUARD` is a
-`GuardExceededError`.  It prunes on the four non-unit axioms of
-`_structure_report`, which both full checks share, and, where the action
-is trivial, on r(t(x)) = x^p, which both readings and the double coset law
-demand there.  The pair half checks interchange only between magmas with
-transposed tables; the functor half runs `semi_mackey_check` only where
-both tables are commutative monoids, which that check demands at both
-levels.  Each half returns what generate-and-test returns, in the same
-order, and neither reads the other (see `_candidates` and `sweep`).
+`GuardExceededError`.  The generator decides the axioms both full checks
+share where their tables are first fixed, and r∘t on trivial actions; the
+sweep decides r∘t on the rest, and once per distinct table the verdicts
+that gate `check_interchange` and `semi_mackey_check`.  Each half returns
+what generate-and-test returns, in the same order.
 """
 from __future__ import annotations
 
@@ -73,11 +70,8 @@ class CoefficientSystem:
             raise ValidationError("r must map level G into level e")
         if any(sigma[x] != x for x in r):
             raise ValidationError("r must land in the fixed points")
-        self.p = p
-        self.size_e = size_e
-        self.sigma = sigma
-        self.size_g = size_g
-        self.r = r
+        self.p, self.size_e, self.size_g = p, size_e, size_g
+        self.sigma, self.r = sigma, r
 
     def act(self, g, x):
         for _ in range(g % self.p):
@@ -205,31 +199,26 @@ def _structure_report(s: _TwoLevelStructure):
 
 def validate_magma(m: CpUnitalMagma, norm_axiom: bool = False) -> CheckReport:
     """Exhaustive axiom check; reports the first violated axiom and witness."""
-    b = m.base
-    ne, ng = b.size_e, b.size_g
-    for x in range(ne):
-        if m.mul_e[m.unit_e][x] != x or m.mul_e[x][m.unit_e] != x:
-            return CheckReport(False, "unit-e", (x,))
-    for x in range(ng):
-        if m.mul_g[m.unit_g][x] != x or m.mul_g[x][m.unit_g] != x:
-            return CheckReport(False, "unit-G", (x,))
+    for mul, unit, level in [(m.mul_e, m.unit_e, "e"), (m.mul_g, m.unit_g, "G")]:
+        for x in range(len(mul)):
+            if mul[unit][x] != x or mul[x][unit] != x:
+                return CheckReport(False, f"unit-{level}", (x,))
     rep = _structure_report(m)
-    if rep is not None:
-        return rep
-    for x in range(ne):
+    return _rt_report(m, norm_axiom) if rep is None else rep
+
+
+def _rt_report(m, norm_axiom):
+    """The r∘t law: r(t(x)) is multiplication by p, per the reading."""
+    for x, rt in enumerate(map(m.base.r.__getitem__, m.t)):
         expect = m.norm(x) if norm_axiom else m.pow_p(x)
-        if b.r[m.t[x]] != expect:
-            return CheckReport(False, "r-t-multiplication-by-p",
-                               (x, b.r[m.t[x]], expect))
+        if rt != expect:
+            return CheckReport(False, "r-t-multiplication-by-p", (x, rt, expect))
     return CheckReport(True)
 
 
 def is_homomorphism(maps, m: CpUnitalMagma, n: CpUnitalMagma) -> bool:
-    """Is (f_e, f_G) a homomorphism of C_p-unital magmas m -> n?
-
-    Checks unit preservation, multiplicativity at both levels,
-    equivariance, and the two intertwining squares with r and t.
-    """
+    """Is (f_e, f_G) a homomorphism m -> n: unital, multiplicative at both
+    levels, equivariant, and intertwining r and t?"""
     fe, fg = maps
     mb, nb = m.base, n.base
     if mb.p != nb.p:
@@ -265,9 +254,7 @@ class InterchangePair:
     def __init__(self, star: CpUnitalMagma, bullet: CpUnitalMagma):
         if star.base != bullet.base:
             raise ValidationError("the two structures must share carriers and r")
-        self.base = star.base
-        self.star = star
-        self.bullet = bullet
+        self.base, self.star, self.bullet = star.base, star, bullet
 
     def key(self):
         return (self.star.key(), self.bullet.key())
@@ -279,6 +266,14 @@ class InterchangePair:
         return hash(self.key())
 
 
+def _interchange_witness(mul1, mul2):
+    """The first (a, x, y, z) where binary interchange fails, or None."""
+    for a, x, y, z in product(range(len(mul1)), repeat=4):
+        if mul2[mul1[a][x]][mul1[y][z]] != mul1[mul2[a][y]][mul2[x][z]]:
+            return a, x, y, z
+    return None
+
+
 def check_interchange(pair: InterchangePair,
                       norm_axiom: bool = False) -> CheckReport:
     """The interchange relations between the two structures.
@@ -288,8 +283,7 @@ def check_interchange(pair: InterchangePair,
     (r∘t of one structure is multiplication by p in the other, read per
     the active axiom), and agree through the identified p-ary
     multiplications: t_bullet(star(y_1..y_p)) = t_star(bullet(y_1..y_p)).
-    Without that last relation the two transfers are not coupled at all,
-    and structures with t_star != t_bullet satisfy everything else.
+    Without that last relation the two transfers are not coupled at all.
 
     Binary interchange implies the p×p grid law, so that is not checked.
     With ·_1, ·_2 the star and bullet products of a level and
@@ -298,19 +292,15 @@ def check_interchange(pair: InterchangePair,
     of the column products N_2 on every k×m grid: for two rows by induction
     on m, as N_1(a, X) ·_2 N_1(y, Z) = (a ·_2 y) ·_1 (N_1(X) ·_2 N_1(Z));
     then by induction on k, applying that to row 1 and the column products
-    of rows 2..k.  No unit, associativity or commutativity is used.
-    """
-    s, b = pair.star, pair.bullet
-    base = pair.base
-    p, ne, ng = base.p, base.size_e, base.size_g
+    of rows 2..k.  No unit, associativity or commutativity is used."""
+    s, b, base = pair.star, pair.bullet, pair.base
+    p, ne = base.p, base.size_e
     if s.unit_e != b.unit_e or s.unit_g != b.unit_g:
         return CheckReport(False, "shared-unit", ())
-    for (mul1, mul2, n, level) in [(s.mul_e, b.mul_e, ne, "e"),
-                                   (s.mul_g, b.mul_g, ng, "G")]:
-        for a, x, y, z in product(range(n), repeat=4):
-            if mul2[mul1[a][x]][mul1[y][z]] != mul1[mul2[a][y]][mul2[x][z]]:
-                return CheckReport(False, f"binary-interchange-{level}",
-                                   (a, x, y, z))
+    for mul1, mul2, level in [(s.mul_e, b.mul_e, "e"), (s.mul_g, b.mul_g, "G")]:
+        witness = _interchange_witness(mul1, mul2)
+        if witness is not None:
+            return CheckReport(False, f"binary-interchange-{level}", witness)
     for x, y in product(range(ne), repeat=2):
         if b.t[s.mul_e[x][y]] != s.mul_g[b.t[x]][b.t[y]]:
             return CheckReport(False, "t-bullet-star-homomorphism", (x, y))
@@ -342,16 +332,11 @@ class SemiMackeyFunctor(_TwoLevelStructure):
             if not rep:
                 raise ValidationError(f"not a semi-Mackey functor: {rep}")
 
-    def as_magma(self, norm_axiom: bool = False) -> CpUnitalMagma:
-        return CpUnitalMagma(self.base, self.mul_e, self.unit_e, self.mul_g,
-                             self.unit_g, self.t, norm_axiom=norm_axiom)
-
 
 @cache
 def _span_rt_composite(p):
-    """The composite span encoding restriction-after-transfer on the free
-    orbit, built by actual span composition, once per p; its readers only
-    read it."""
+    """Restriction after transfer on the free orbit, composed as spans once
+    per p; its readers only read it."""
     g = cyclic_group(p)
     free = GSet.regular(g)
     transfer = Span(GSetMap.identity(free), terminal_map(free))
@@ -366,11 +351,8 @@ def evaluate_span_endo(sm: SemiMackeyFunctor, span: Span, free: GSet):
     level-e values twisted by the transporting group element.  The apex of
     the double-coset span is free (C_p x C_p over a point is p free
     orbits); an apex orbit of another size raises TheoremViolation with
-    (p, the orbit, its size) as witness.
-    """
-    base = sm.base
-    p = base.p
-    orbits = span.apex.orbits()
+    (p, the orbit, its size) as witness."""
+    base, p, orbits = sm.base, sm.base.p, span.apex.orbits()
     for orbit in orbits:
         if len(orbit) != p:
             raise TheoremViolation("apex of the double-coset span is not free",
@@ -433,11 +415,7 @@ def eckmann_hilton(pair: InterchangePair,
     coincide, and their common structure must be a semi-Mackey functor
     (`semi_mackey_check`: commutative monoids, and the double coset law in
     the orbit-product form); a failure raises TheoremViolation carrying the
-    differing values or the failing CheckReport as witness.  Under the
-    default literal reading of multiplication-by-p the two forms of the
-    law agree on every carrier with trivial action, and a divergence is
-    falsifying evidence.
-    """
+    differing values or the failing CheckReport as witness."""
     for m, name in [(pair.star, "star"), (pair.bullet, "bullet")]:
         rep = validate_magma(m, norm_axiom=norm_axiom)
         if not rep:
@@ -461,13 +439,10 @@ def eckmann_hilton(pair: InterchangePair,
 
 
 def pair_of_semi_mackey(sm: SemiMackeyFunctor) -> InterchangePair:
-    """Duplicate the commutative structure; inverse to eckmann_hilton.
-
-    The magma is built under the orbit-product reading of
-    multiplication-by-p, which the double coset law supplies; on trivial
-    actions this coincides with the literal p-fold power.
-    """
-    m = sm.as_magma(norm_axiom=True)
+    """Duplicate the commutative structure under the orbit-product reading,
+    which the double coset law supplies; inverse to eckmann_hilton."""
+    m = CpUnitalMagma(sm.base, sm.mul_e, sm.unit_e, sm.mul_g, sm.unit_g, sm.t,
+                      norm_axiom=True)
     return InterchangePair(m, m)
 
 
@@ -480,16 +455,12 @@ def _unital_tables(n, cell_values=None):
     """The tables on 0..n-1 with 0 a two-sided unit whose non-unit cells,
     in row-major order, take their values from `cell_values` (any value by
     default); lexicographic in those cells."""
-    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+    k = n - 1
     if cell_values is None:
-        cell_values = [range(n)] * len(cells)
+        cell_values = [range(n)] * k * k
     for fill in product(*cell_values):
-        tab = [[0] * n for _ in range(n)]
-        for i in range(n):
-            tab[0][i] = tab[i][0] = i
-        for (i, j), v in zip(cells, fill):
-            tab[i][j] = v
-        yield tuple(tuple(row) for row in tab)
+        yield (tuple(range(n)),) + tuple(
+            (i,) + fill[k * i - k:k * i] for i in range(1, n))
 
 
 def _sigmas(n, p):
@@ -497,12 +468,15 @@ def _sigmas(n, p):
             if perm[0] == 0 and _perm_power(perm, p) == tuple(range(n))]
 
 
-def _t_multiplicative(mul_e, mul_g, t):
-    """t(x·y) = t(x)·t(y), tested off the unit row and column, where unital
-    tables and t(0) = 0 make it hold."""
-    n = len(t)
-    return all(t[mul_e[x][y]] == mul_g[t[x]][t[y]]
-               for x in range(1, n) for y in range(1, n))
+def _forced_cells(mul_e, t):
+    """The (i, j, mul_g[i][j]) that t(x·y) = t(x)·t(y) forces, or None if it
+    forces a cell two ways or breaks the unit row or column (i·j = i + j)."""
+    forced = {}
+    for x, y in product(range(1, len(t)), repeat=2):
+        i, j, v = t[x], t[y], t[mul_e[x][y]]
+        if v != (i + j if i * j == 0 else forced.setdefault((i, j), v)):
+            return None
+    return [(i, j, v) for (i, j), v in forced.items()]
 
 
 def _candidates(p, max_e, max_g):
@@ -510,17 +484,14 @@ def _candidates(p, max_e, max_g):
     sizes up to the bounds, 0 the unit at both levels, r(0) = t(0) = 0.
     Holds the sweeps' one guard.
 
-    The four non-unit axioms of `_structure_report`, which `validate_magma`
-    and `semi_mackey_check` share, are tested where their tables are first
-    fixed: action-multiplicativity on mul_e; r-multiplicativity, which
-    narrows each cell of mul_g to an r-preimage, while mul_g is built;
-    t-equivariance and t-multiplicativity on t.  Where sigma is trivial,
-    the orbit of x is p copies of x, so norm(x) is the p-fold power of x:
-    both readings of `validate_magma` and the double coset law of
-    `semi_mackey_check` demand r(t(x)) = x^p, which narrows the transfers
-    once per mul_e, and a mul_e left with none is skipped before any mul_g
-    is built.  What is dropped fails every full check, which still decide,
-    so the survivors and their order are those of the full product."""
+    Each axiom of `_structure_report` is tested where its tables are first
+    fixed: t-equivariance once per sigma, action-multiplicativity once per
+    mul_e, r-multiplicativity per mul_g cell (an r-preimage), and
+    t-multiplicativity once per (mul_e, t) as the cells it forces, then per
+    (mul_g, t) on those.  On a trivial action norm(x) = x^p, so both
+    readings and the double coset law demand r(t(x)) = x^p, which narrows
+    t once per mul_e.  What is dropped fails every full check, so the
+    survivors and their order are those of the full product."""
     if not _is_prime(p):
         raise ValidationError("p must be prime")
     if p > 3 or max_e > SWEEP_GUARD or max_g > SWEEP_GUARD:
@@ -541,9 +512,6 @@ def _candidates(p, max_e, max_g):
                     for v in range(ng):
                         preimage.setdefault(r[v], []).append(v)
                     for mul_e in _unital_tables(ne):
-                        # sigma is an automorphism of mul_e
-                        if _relabel_table(mul_e, sigma, inv) != mul_e:
-                            continue
                         mul_e_ts = ts
                         if trivial:
                             # r(t(x)) = x^p
@@ -551,14 +519,18 @@ def _candidates(p, max_e, max_g):
                                        for x in range(ne))
                             mul_e_ts = [t for t in ts
                                         if tuple(map(r.__getitem__, t)) == pw]
-                            if not mul_e_ts:
-                                continue
+                        elif _relabel_table(mul_e, sigma, inv) != mul_e:
+                            continue  # sigma is no automorphism of mul_e
+                        demands = [(t, cells) for t in mul_e_ts if (
+                            cells := _forced_cells(mul_e, t)) is not None]
+                        if not demands:
+                            continue
                         cell_values = [preimage.get(mul_e[r[i]][r[j]], ())
                                        for i in range(1, ng)
                                        for j in range(1, ng)]
                         for mul_g in _unital_tables(ng, cell_values):
-                            for t in mul_e_ts:
-                                if _t_multiplicative(mul_e, mul_g, t):
+                            for t, cells in demands:
+                                if all(mul_g[i][j] == v for i, j, v in cells):
                                     yield base, mul_e, mul_g, t
 
 
@@ -614,37 +586,42 @@ def sweep(p, max_e, max_g, norm_axiom=False):
     keyed by `canonical_pair_key` (of a functor's doubled pair), each
     holding the first candidate of a class in stream order.
 
-    Pair half: `validate_magma` on every candidate.  With both units 0,
-    the instance a = z = 0 of the binary interchange reads
-    bullet(x, y) = star(y, x) at both levels, so each valid magma is
-    checked only against those of its base with the transposed tables, in
-    the order of the all-pairs loop: the pair kept per class is the same.
-
-    Functor half: `semi_mackey_check` on every candidate whose mul_e and
-    mul_g are commutative monoids, decided once per distinct table; the
-    check demands that at both levels, so a skipped candidate fails it."""
-    pairs, functors = {}, {}
-    monoid = {}
+    Once per distinct table it decides whether the table is a commutative
+    monoid, which `semi_mackey_check` demands, and whether it interchanges
+    with its transpose, which `check_interchange` demands, as binary
+    interchange at a = z = 0 makes bullet the transpose of star.  Classical
+    Eckmann-Hilton says the two agree; where they differ it raises
+    `TheoremViolation` with (p, box, reading, table).  Candidates with a
+    table that fails are dropped.  Pair half: a candidate holds every axiom
+    of `validate_magma` but r∘t, checked where the action is not trivial;
+    the magmas of one base with the same (commutative) tables are paired
+    for `check_interchange`.  Functor half: `semi_mackey_check`."""
+    pairs, functors, tables = {}, {}, {}
     for base, group in groupby(_candidates(p, max_e, max_g), itemgetter(0)):
-        valid = []
+        trivial = base.sigma == tuple(range(base.size_e))
+        kept, by_tables = [], {}
         for _, mul_e, mul_g, t in group:
-            m = CpUnitalMagma._trusted(base, mul_e, mul_g, t)
-            if validate_magma(m, norm_axiom=norm_axiom):
-                valid.append(m)
             for mul in (mul_e, mul_g):
-                if mul not in monoid:
-                    monoid[mul] = _is_commutative_monoid(mul)
-            if monoid[mul_e] and monoid[mul_g]:
-                sm = SemiMackeyFunctor._trusted(base, mul_e, mul_g, t)
-                if semi_mackey_check(sm):
-                    functors.setdefault(
-                        canonical_pair_key(pair_of_semi_mackey(sm)), sm)
-        by_tables = {}
-        for m in valid:
-            by_tables.setdefault((m.mul_e, m.mul_g), []).append(m)
-        for m1 in valid:
-            for m2 in by_tables.get((tuple(zip(*m1.mul_e)),
-                                     tuple(zip(*m1.mul_g))), ()):
+                if mul not in tables:
+                    tables[mul] = _is_commutative_monoid(mul)
+                    swaps = _interchange_witness(mul, tuple(zip(*mul))) is None
+                    if tables[mul] != swaps:
+                        reading = "orbit-product" if norm_axiom else "literal"
+                        raise TheoremViolation(
+                            "classical Eckmann-Hilton fails on a table",
+                            (p, (max_e, max_g), reading, mul))
+            if not (tables[mul_e] and tables[mul_g]):
+                continue
+            m = CpUnitalMagma._trusted(base, mul_e, mul_g, t)
+            if trivial or _rt_report(m, norm_axiom):
+                kept.append(m)
+                by_tables.setdefault((mul_e, mul_g), []).append(m)
+            sm = SemiMackeyFunctor._trusted(base, mul_e, mul_g, t)
+            if semi_mackey_check(sm):
+                functors.setdefault(
+                    canonical_pair_key(InterchangePair(sm, sm)), sm)
+        for m1 in kept:
+            for m2 in by_tables[m1.mul_e, m1.mul_g]:
                 pair = InterchangePair(m1, m2)
                 if check_interchange(pair, norm_axiom=norm_axiom):
                     pairs.setdefault(canonical_pair_key(pair), pair)
@@ -658,10 +635,7 @@ def enumerate_interchanging_pairs(p, max_e, max_g, norm_axiom=False) -> list:
 
 
 def enumerate_semi_mackey(p, max_e, max_g) -> list:
-    """The functor half of `sweep` (one walk, both halves), in canonical
-    order.  It checks only candidates whose tables are commutative monoids,
-    since `semi_mackey_check` demands them at both levels, and is
-    independent of the pair check."""
+    """The functor half of `sweep`, in canonical order."""
     functors = sweep(p, max_e, max_g)[1]
     return [functors[k] for k in sorted(functors)]
 
@@ -687,14 +661,10 @@ def semi_mackey_homs(a: SemiMackeyFunctor, b: SemiMackeyFunctor) -> list:
 def pair_to_json(pair: InterchangePair) -> str:
     b = pair.base
     data = {"p": b.p, "size_e": b.size_e, "size_g": b.size_g,
-            "sigma": list(b.sigma), "r": list(b.r),
+            "sigma": b.sigma, "r": b.r,
             "unit_e": pair.star.unit_e, "unit_g": pair.star.unit_g,
-            "star": {"mul_e": [list(r) for r in pair.star.mul_e],
-                     "mul_g": [list(r) for r in pair.star.mul_g],
-                     "t": list(pair.star.t)},
-            "bullet": {"mul_e": [list(r) for r in pair.bullet.mul_e],
-                       "mul_g": [list(r) for r in pair.bullet.mul_g],
-                       "t": list(pair.bullet.t)}}
+            **{name: {"mul_e": m.mul_e, "mul_g": m.mul_g, "t": m.t}
+               for name, m in [("star", pair.star), ("bullet", pair.bullet)]}}
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 

@@ -179,23 +179,56 @@ def test_binary_interchange_implies_grid_law_on_all_2_element_tables():
     assert _assert_grid_law_is_implied(pairs) == (257, 91)
 
 
-@pytest.mark.parametrize("norm_axiom", [False, True])
-def test_binary_interchange_implies_grid_law_on_p3_sweep_pairs(
-        monkeypatch, norm_axiom):
-    """Every pair the p = 3 pair sweep sends to `check_interchange` at
-    (3,2), (2,3) and (3,3)."""
-    checked = []
+def _transposed_candidate_pairs(p, max_e, max_g, norm_axiom=False):
+    """The pairs generate-and-test sends to `check_interchange`: over each
+    base of `_candidates`, every magma passing the full `validate_magma`
+    with each one whose tables are its transposes, in all-pairs order."""
+    out = []
+    for base, group in groupby(equialg.magmas._candidates(p, max_e, max_g),
+                               itemgetter(0)):
+        valid = []
+        for _, mul_e, mul_g, t in group:
+            m = CpUnitalMagma(base, mul_e, 0, mul_g, 0, t, validate=False)
+            if validate_magma(m, norm_axiom=norm_axiom):
+                valid.append(m)
+        by_tables = {}
+        for m in valid:
+            by_tables.setdefault((m.mul_e, m.mul_g), []).append(m)
+        for m1 in valid:
+            out.extend(InterchangePair(m1, m2) for m2 in by_tables.get(
+                (tuple(zip(*m1.mul_e)), tuple(zip(*m1.mul_g))), ()))
+    return out
+
+
+def _record_check_interchange(monkeypatch):
+    """Route `equialg.magmas.check_interchange` through a recorder; returns
+    the list the pairs it is called on go to."""
+    sent = []
 
     def recording(pair, norm_axiom=False):
-        checked.append(pair)
+        sent.append(pair)
         return check_interchange(pair, norm_axiom=norm_axiom)
 
     monkeypatch.setattr(equialg.magmas, "check_interchange", recording)
-    for box in [(3, 3, 2), (3, 2, 3), (3, 3, 3)]:
-        enumerate_interchanging_pairs(*box, norm_axiom=norm_axiom)
+    return sent
+
+
+@pytest.mark.parametrize("norm_axiom", [False, True])
+def test_binary_interchange_implies_grid_law_on_p3_sweep_pairs(
+        monkeypatch, norm_axiom):
+    """Every transposed pair of valid magmas at p = 3 in (3,2), (2,3) and
+    (3,3), each of which generate-and-test checks, and the pairs the sweep
+    sends to `check_interchange`: those whose tables interchange."""
+    boxes = [(3, 3, 2), (3, 2, 3), (3, 3, 3)]
+    checked = [pair for box in boxes
+               for pair in _transposed_candidate_pairs(*box, norm_axiom)]
     assert len(checked) == 514
     # 84 distinct level-table pairs, 12 of them with binary interchange
     assert _assert_grid_law_is_implied(checked, norm_axiom) == (84, 12)
+    sent = _record_check_interchange(monkeypatch)
+    for box in boxes:
+        enumerate_interchanging_pairs(*box, norm_axiom=norm_axiom)
+    assert len(sent) == 154
 
 
 def test_check_interchange_couples_the_transfers():
@@ -555,26 +588,13 @@ def test_rt_prune_drops_only_what_every_full_check_rejects(box, kept, total):
 
 
 def _reference_interchanging_pairs(p, max_e, max_g, norm_axiom=False):
-    """The pair sweep as its own walk of `_candidates`, each candidate
-    built by the validating constructor: `sweep`'s pair half must equal
-    it."""
+    """The pair sweep as its own walk of `_candidates`, with the full
+    `validate_magma` on every candidate and `check_interchange` on every
+    transposed pair: `sweep`'s pair half must equal it."""
     found = {}
-    for base, group in groupby(equialg.magmas._candidates(p, max_e, max_g),
-                               itemgetter(0)):
-        valid = []
-        for _, mul_e, mul_g, t in group:
-            m = CpUnitalMagma(base, mul_e, 0, mul_g, 0, t, validate=False)
-            if validate_magma(m, norm_axiom=norm_axiom):
-                valid.append(m)
-        by_tables = {}
-        for m in valid:
-            by_tables.setdefault((m.mul_e, m.mul_g), []).append(m)
-        for m1 in valid:
-            for m2 in by_tables.get((tuple(zip(*m1.mul_e)),
-                                     tuple(zip(*m1.mul_g))), ()):
-                pair = InterchangePair(m1, m2)
-                if check_interchange(pair, norm_axiom=norm_axiom):
-                    found.setdefault(canonical_pair_key(pair), pair)
+    for pair in _transposed_candidate_pairs(p, max_e, max_g, norm_axiom):
+        if check_interchange(pair, norm_axiom=norm_axiom):
+            found.setdefault(canonical_pair_key(pair), pair)
     return [found[k] for k in sorted(found)]
 
 
@@ -607,6 +627,72 @@ def test_one_walk_halves_equal_the_separate_sweeps(box, norm_axiom):
                              enumerate_interchanging_pairs(*box, norm_axiom)]
     assert sorted(functors) == [canonical_pair_key(pair_of_semi_mackey(s))
                                 for s in enumerate_semi_mackey(*box)]
+
+
+@pytest.mark.parametrize("p, norm_axiom, transposed, sent", [
+    (2, False, 2916, 209), (2, True, 2916, 221), (3, False, 382, 114),
+    (3, True, 382, 114)], ids=["p2", "p2-norm", "p3", "p3-norm"])
+def test_table_memo_sends_exactly_the_pairs_binary_interchange_passes(
+        monkeypatch, p, norm_axiom, transposed, sent):
+    """Every transposed candidate pair at (3,3): the sweep sends a pair to
+    `check_interchange`, in generate-and-test order, exactly when that check
+    reports no binary-interchange failure on it, so the sweep's per-table
+    verdict is the check's own."""
+    pairs = _transposed_candidate_pairs(p, 3, 3, norm_axiom)
+    expected = [pair.key() for pair in pairs
+                if not check_interchange(pair, norm_axiom=norm_axiom)
+                .axiom.startswith("binary-interchange-")]
+    recorded = _record_check_interchange(monkeypatch)
+    sweep(p, 3, 3, norm_axiom=norm_axiom)
+    assert [pair.key() for pair in recorded] == expected
+    assert (len(pairs), len(expected)) == (transposed, sent)
+
+
+# transposed candidate pairs of the p = 2 (3,3) box that fail binary
+# interchange, one per level, with the report `check_interchange` gives
+BINARY_FAILURES = [
+    (CoefficientSystem(2, 3, [0, 1, 2], 1, [0]),
+     ((0, 1, 2), (1, 0, 0), (2, 1, 0)), ((0,),), (0, 0, 0),
+     "binary-interchange-e", (0, 1, 1, 2)),
+    (CoefficientSystem(2, 1, [0], 3, [0, 0, 0]),
+     ((0,),), ((0, 1, 2), (1, 0, 0), (2, 0, 0)), (0,),
+     "binary-interchange-G", (0, 1, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("base, mul_e, mul_g, t, axiom, witness",
+                         BINARY_FAILURES, ids=["level-e", "level-G"])
+def test_check_interchange_reports_binary_failure_unchanged(
+        base, mul_e, mul_g, t, axiom, witness):
+    star = CpUnitalMagma(base, mul_e, 0, mul_g, 0, t)
+    bullet = CpUnitalMagma(base, tuple(zip(*mul_e)), 0, tuple(zip(*mul_g)),
+                           0, t)
+    for norm_axiom in (False, True):
+        rep = check_interchange(InterchangePair(star, bullet), norm_axiom)
+        assert not rep
+        assert (rep.axiom, rep.witness) == (axiom, witness)
+
+
+NONCOMMUTATIVE3 = ((0, 1, 2), (1, 0, 1), (2, 2, 0))
+
+
+@pytest.mark.parametrize("box, liar, norm_axiom", [
+    ((2, 2, 2), Z2, False), ((2, 2, 2), Z2, True),
+    ((2, 3, 1), NONCOMMUTATIVE3, False)], ids=["Z2", "Z2-norm", "noncomm"])
+def test_sweep_checks_classical_eckmann_hilton_on_every_table(
+        monkeypatch, box, liar, norm_axiom):
+    """A unit-0 table interchanges with its transpose exactly when it is a
+    commutative monoid; a commutative-monoid check that lies on one table
+    of the stream makes the sweep raise, with p, box, reading and table."""
+    honest = equialg.magmas._is_commutative_monoid
+    assert any(liar in (mul_e, mul_g)
+               for _, mul_e, mul_g, _ in equialg.magmas._candidates(*box))
+    monkeypatch.setattr(equialg.magmas, "_is_commutative_monoid",
+                        lambda mul: honest(mul) != (mul == liar))
+    with pytest.raises(TheoremViolation) as exc:
+        sweep(*box, norm_axiom=norm_axiom)
+    reading = "orbit-product" if norm_axiom else "literal"
+    assert exc.value.witness == (box[0], box[1:], reading, liar)
 
 
 @pytest.mark.parametrize("box, candidates, checked", [
