@@ -19,9 +19,9 @@ pass on first use; the checker reads them, and the closure rules
 recurrence on the first component of the second class: split the first
 class into the part over that component and the rest, and add up the
 operation on the two smaller pairs.  Every sub-problem is a pair of
-classes of the universe, memoised by class ids as a mask while the pass
-runs, so the pairs of one pass share them; a call outside the pass
-keeps its memos for that call only.  Closure and enumeration run on the
+classes of the universe, memoised by class ids as a mask: the pairs of
+the one pass share a memo, and a call of `compose_classes` or
+`pullback_classes` keeps its own.  Closure and enumeration run on the
 shared engine of `poset.close` and `poset.closure_lattice`, over int
 masks of class ids.  The two encodings' rules are computed by independent
 routines, so their agreement is a real check of the equivalence.
@@ -173,17 +173,11 @@ def compose_classes(tables: LevelTables, c1: tuple, c2: tuple) -> set:
     its orbit slots, each moved into its slot by a conjugation.  The
     sub-problems are pairs of classes of the map-class universe of
     `tables`, which the first call builds (past `UNIVERSE_GUARD` classes
-    a GuardExceededError, even for one pair); they are memoised for the
-    one pass of `_Ops.operations`, or for this call alone outside it.
-    Both classes must lie within the cutoff (else a ValidationError).
+    a GuardExceededError, even for one pair); they are memoised for this
+    call alone.  Both classes must lie within the cutoff (else a
+    ValidationError).
     """
-    ops = _ops_for(tables)
-    u, v = ops.encode_all(tuple(sorted(c)) for c in (c1, c2))
-    if ops.cod[u] != ops.dom[v]:
-        return set()
-    memo, _, splits = ops.pass_memos or ({}, {}, {})
-    mask = ops.recur(_composite_one, ops.dom, memo, splits, u, v)
-    return {ops.classes[w] for w in _bits(mask)}
+    return _pair_classes(tables, _composite_one, "dom", c1, c2)
 
 
 def pullback_classes(tables: LevelTables, cf: tuple, cg: tuple) -> set:
@@ -197,16 +191,21 @@ def pullback_classes(tables: LevelTables, cf: tuple, cg: tuple) -> set:
     cg[1:].  Unrepresentable pullbacks and those beyond the cutoff are
     skipped.  As for composites, the first call builds the universe
     (GuardExceededError past `UNIVERSE_GUARD`), the sub-problems are
-    memoised for the pass or the call, and both classes must lie within
-    the cutoff.
+    memoised for the call, and both classes must lie within the cutoff.
     """
+    return _pair_classes(tables, _pullback_one, "cod", cf, cg)
+
+
+def _pair_classes(tables, first, side: str, a: tuple, b: tuple) -> set:
+    """`_Ops.recur` of `first` on one pair, with memos of its own: empty
+    unless the codomain of a is the `side` ("dom" or "cod") of b."""
     ops = _ops_for(tables)
-    u, v = ops.encode_all(tuple(sorted(c)) for c in (cf, cg))
-    if ops.cod[u] != ops.cod[v]:
+    u, v = ops.encode_all(tuple(sorted(c)) for c in (a, b))
+    sides = getattr(ops, side)
+    if ops.cod[u] != sides[v]:
         return set()
-    _, memo, splits = ops.pass_memos or ({}, {}, {})
-    mask = ops.recur(_pullback_one, ops.cod, memo, splits, u, v)
-    return {ops.classes[w] for w in _bits(mask)}
+    return {ops.classes[w]
+            for w in _bits(ops.recur(first, sides, {}, {}, u, v))}
 
 
 def _composite_one(ops, a: tuple, comp: tuple) -> int:
@@ -299,10 +298,6 @@ class _Ops:
         units = [self.id_of.get((component(tables, h, tables.empty(h)),))
                  for h in tables.lat.class_reps]
         self.units = [u for u in units if u is not None]
-        # while the one pass of `operations` runs, the memos of `recur`:
-        # the sub-problems of composites, those of pullbacks, and the
-        # splits of each class
-        self.pass_memos = None
 
     def core_mask(self, unital: bool) -> int:
         """The isomorphisms and, if `unital`, the units."""
@@ -365,22 +360,21 @@ class _Ops:
             by_dom[d].append(v)
         sizes = [class_sizes(t, c) for c in mc]
         composites, pullbacks, summands, unions = [], [], [], []
-        self.pass_memos = {}, {}, {}
-        try:
-            for u, c in enumerate(mc):
-                composites.append([
-                    (v, _mask(id_of[m] for m in compose_classes(t, c, mc[v])))
-                    for v in by_dom[self.cod[u]]])
-                pullbacks.append([
-                    (v, _mask(id_of[m] for m in pullback_classes(t, c, mc[v])))
-                    for v in self.by_cod[self.cod[u]]])
-                summands.append(_mask(id_of[m] for m in sub_multisets(c)))
-                src, dst = sizes[u]
-                unions.append([(v, id_of[tuple(sorted(c + mc[v]))])
-                               for v, (s, d) in enumerate(sizes)
-                               if src + s <= t.cutoff and dst + d <= t.cutoff])
-        finally:
-            self.pass_memos = None
+        # the memos of `recur` for the pass: the sub-problems of
+        # composites, those of pullbacks, and the splits of each class
+        composed, pulled, splits = {}, {}, {}
+        for u, c in enumerate(mc):
+            composites.append([
+                (v, self.recur(_composite_one, self.dom, composed, splits, u, v))
+                for v in by_dom[self.cod[u]]])
+            pullbacks.append([
+                (v, self.recur(_pullback_one, self.cod, pulled, splits, u, v))
+                for v in self.by_cod[self.cod[u]]])
+            summands.append(_mask(id_of[m] for m in sub_multisets(c)))
+            src, dst = sizes[u]
+            unions.append([(v, id_of[tuple(sorted(c + mc[v]))])
+                           for v, (s, d) in enumerate(sizes)
+                           if src + s <= t.cutoff and dst + d <= t.cutoff])
         return composites, pullbacks, summands, unions
 
     @cached_property

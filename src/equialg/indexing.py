@@ -24,7 +24,6 @@ not the rules.
 """
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
@@ -405,10 +404,9 @@ class WeakIndexingSystem:
         t = self.tables
         levels = {}
         for hi, adm in enumerate(self.admissible):
-            name = str(list(sorted(t.members[hi])))
-            levels[name] = sorted(
-                [sorted(list(sorted(t.members[k])) for k in t.classes[hi][c])
-                 for c in adm])
+            levels[str(sorted(t.members[hi]))] = sorted(
+                sorted(sorted(t.members[k]) for k in t.classes[hi][c])
+                for c in adm)
         return json.dumps({"group": self.group.name, "cutoff": self.cutoff,
                            "levels": levels},
                           sort_keys=True, separators=(",", ":"))
@@ -646,22 +644,19 @@ class TransferSystem:
 
 def transfer_check(ts: TransferSystem) -> CheckReport:
     lat = ts.lat
-    grp = ts.group
-    n = len(lat.nodes)
-    for (k, h) in ts.rel:
+    for k, h in ts.rel:
         if not lat.leq[k][h]:
             return CheckReport(False, "refines-containment", (k, h))
-    for (k, h) in ts.rel:
-        for (k2, h2) in ts.rel:
+    for k, h in ts.rel:
+        for k2, h2 in ts.rel:
             if h == k2 and (k, h2) not in ts.rel:
                 return CheckReport(False, "transitivity", (k, h, h2))
-    for g in grp.elements:
-        conj = lat.conj_table[g]    # [sid]: sid of g H g^-1
-        for (k, h) in ts.rel:
+    for g, conj in enumerate(lat.conj_table):  # [sid]: sid of g H g^-1
+        for k, h in ts.rel:
             if (conj[k], conj[h]) not in ts.rel:
                 return CheckReport(False, "conjugation", (g, k, h))
-    for (k, h) in ts.rel:
-        for l in range(n):
+    for k, h in ts.rel:
+        for l in range(len(lat.nodes)):
             if not lat.leq[l][h]:
                 continue
             m = lat.index_of[lat.nodes[k].members & lat.nodes[l].members]
@@ -699,9 +694,10 @@ def transfer_system_of(sys: WeakIndexingSystem) -> TransferSystem:
 
 
 def enumerate_transfer_systems(group: FiniteGroup) -> Poset:
-    """All transfer systems: the closed sets of strict containment pairs
-    K < H, where a pair forces its conjugates and its restrictions (K ∩ L,
-    L) for the L <= H not in K, and (K, H) with (H, L) forces (K, L)."""
+    """All transfer systems, ordered by inclusion: the closed sets of
+    strict containment pairs K < H, where a pair forces its conjugates and
+    its restrictions (K ∩ L, L) for the L <= H not in K, and (K, H) with
+    (H, L) forces (K, L)."""
     lat = subgroup_lattice(group)
     n = len(lat.nodes)
     strict = [(k, h) for k in range(n) for h in range(n)
@@ -715,6 +711,8 @@ def enumerate_transfer_systems(group: FiniteGroup) -> Poset:
     rules = rule_table(unary, ((bit[k, h], bit[h, l], 1 << bit[k, l])
                                for k, h in strict for l in range(n)
                                if l != h and lat.leq[h][l]))
-    found = [TransferSystem(group, [strict[i] for i in _bits(m)], validate=False)
-             for m in closure_lattice(rules, 0, (1 << len(strict)) - 1)]
-    return Poset(found, leq=operator.le, key=lambda s: s.sort_key())
+    found = {TransferSystem(group, [strict[i] for i in _bits(m)],
+                            validate=False): m
+             for m in closure_lattice(rules, 0, (1 << len(strict)) - 1)}
+    return Poset.by_inclusion(found, found.__getitem__,
+                              key=TransferSystem.sort_key)

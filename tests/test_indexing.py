@@ -18,8 +18,8 @@ import pytest
 import equialg
 from equialg import (GuardExceededError, ValidationError, cyclic_group,
                      direct_product, trivial_group)
-from equialg.category import (WeakIndexingCategory, _Ops, _ops_for,
-                              _pullback_one, _transports,
+from equialg.category import (WeakIndexingCategory, _composite_one, _Ops,
+                              _ops_for, _pullback_one, _transports,
                               class_sizes, close_category, comp_sizes,
                               component, compose_classes, cod_class,
                               dom_class, enumerate_categories,
@@ -626,7 +626,9 @@ def reference_matchings(left, right):
 def reference_compose_classes(tables, c1, c2):
     """Composites by the recursion over per-type matchings that
     `compose_classes` replaced: every matching of fibers with slots, every
-    transport of each fiber, assembled whole."""
+    transport of each fiber, assembled whole.  A fiber at level rep moves
+    into a slot at level k by every group element g with g rep g^-1 = k,
+    not by `category._transports`, so a wrong transport shows here."""
     if cod_class(tables, c1) != dom_class(tables, c2):
         return set()
     fibers_by_type = defaultdict(list)
@@ -641,15 +643,20 @@ def reference_compose_classes(tables, c1, c2):
     per_type = [list(reference_matchings(slots_by_type[t], fibers_by_type[t]))
                 for t in types]
     results = set()
+    moves = {}  # (rep, k, fid): the classes the fiber moves to at level k
 
     def assemble(ti, chosen):
         if ti == len(types):
             options = [[]]
             for t, fibers in zip(types, chosen):
                 for (j, k), (rep, fid) in zip(slots_by_type[t], fibers):
-                    branches = _transports(tables, rep, k, fid)
+                    if (rep, k, fid) not in moves:
+                        moves[rep, k, fid] = {
+                            tables.conj_cls(g, rep, fid)[1]
+                            for g in tables.group.elements
+                            if tables.conj_sid[g][rep] == k}
                     options = [opt + [(j, k, b)] for opt in options
-                               for b in branches]
+                               for b in moves[rep, k, fid]]
             for opt in options:
                 fibers_out = [list() for _ in c2]
                 for (j, k, fid_k) in opt:
@@ -780,9 +787,10 @@ def test_one_pass_map_tables_match_the_references(group, cutoff):
 
 
 def test_map_class_operations_match_the_recursion_on_s3():
-    """A sample of the pairs of non-abelian S3 at cutoff 6, where a fiber
-    can move into its slot by more than one conjugation; all 1269 classes'
-    rules take too long for this suite."""
+    """A sample of the pairs of non-abelian S3 at cutoff 6, where fibers
+    move into their slots by conjugation, though never by two that give
+    different classes (see the D8 test below); all 1269 classes' rules
+    take too long for this suite."""
     t = level_tables(s3_group(), 6)
     ops = _ops_for(t)
     mc = ops.classes
@@ -797,22 +805,37 @@ def test_map_class_operations_match_the_recursion_on_s3():
 
 
 def test_map_tables_compute_each_matched_pair_once(monkeypatch):
-    """The one-pass tables call `compose_classes` once per pair that
-    composes and `pullback_classes` once per pair over one codomain."""
+    """The one-pass tables make one top-level `_Ops.recur` call (one not
+    made from inside another) per pair that composes and one per pair
+    over one codomain, and none through the public `compose_classes` or
+    `pullback_classes`."""
     import equialg.category
     t = LevelTables(C2, 4)
     ops = _ops_for(t)
-    calls = {"compose": [], "pullback": []}
-    for name, real in [("compose", compose_classes),
-                       ("pullback", pullback_classes)]:
-        monkeypatch.setattr(
-            equialg.category, f"{name}_classes",
-            lambda t, a, b, log=calls[name], real=real:
-            log.append((ops.id_of[a], ops.id_of[b])) or real(t, a, b))
+    calls = {_composite_one: [], _pullback_one: []}
+    depth = [0]
+    recur = _Ops.recur
+
+    def counted(self, first, side, memo, splits, u, v):
+        if not depth[0]:
+            calls[first].append((u, v))
+        depth[0] += 1
+        try:
+            return recur(self, first, side, memo, splits, u, v)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(_Ops, "recur", counted)
+    public = []
+    for name in ["compose_classes", "pullback_classes"]:
+        monkeypatch.setattr(equialg.category, name,
+                            lambda *args, name=name: public.append(name))
     ops.rules[0]
     composable, over_one_cod = _matched_pairs(ops)
-    assert sorted(calls["compose"]) == composable and len(composable) == 1533
-    assert sorted(calls["pullback"]) == over_one_cod and \
+    assert public == []
+    assert sorted(calls[_composite_one]) == composable and \
+        len(composable) == 1533
+    assert sorted(calls[_pullback_one]) == over_one_cod and \
         len(over_one_cod) == 1962
 
 
@@ -855,18 +878,22 @@ def test_map_recurrence_matches_the_references_where_transports_branch(
     group of a Klein four subgroup swaps two of its C2s), and its universe
     at cutoff 8 (119,126 classes) is past `UNIVERSE_GUARD`, raised here.
     A seeded sample of composable pairs of classes with two or more
-    components, asked one after another within one memo, as the pass asks
-    them, so that later pairs read what earlier ones memoised, equals the
-    reference; some of them branch."""
+    components, asked of `_Ops.recur` one after another within one memo,
+    as the pass asks them, so that later pairs read what earlier ones
+    memoised, equals the reference; some of them branch.
+
+    The reference moves fibers by every group element.  A `_transports`
+    that keeps only its first result changes none of those composites, so
+    a second sample targets the pairs where it must: v has one component
+    at its level H, whose fiber contains H/H and is moved by the Weyl
+    group of H, and u has no empty fiber and a component at H that the
+    Weyl group moves.  Each such pair equals the reference, and the
+    mutant misses a composite of each."""
     import equialg.category
     monkeypatch.setattr(equialg.category, "UNIVERSE_GUARD", 200_000)
     t = LevelTables(d8_group(), 8)
     ops = _ops_for(t)
     mc = ops.classes
-    branches = []
-    monkeypatch.setattr(
-        equialg.category, "_transports",
-        lambda *args: branches.append(len(out := _transports(*args))) or out)
     rng = random.Random(8)
     many = [v for v, c in enumerate(mc) if len(c) >= 2]
     pairs = []
@@ -874,20 +901,68 @@ def test_map_recurrence_matches_the_references_where_transports_branch(
         us = [u for u in ops.by_cod[ops.dom[v]] if len(mc[u]) >= 2]
         if us:
             pairs.append((rng.choice(us), v))
-    ops.pass_memos = {}, {}, {}  # shared by the calls, as in the pass
-    outs = [compose_classes(t, mc[u], mc[v]) for u, v in pairs]
+    outs, stored_by, earlier = [], {}, [0]
+
+    class Memo(dict):
+        """Counts the reads of sub-problems that an earlier pair stored."""
+
+        def __setitem__(self, key, value):
+            stored_by[key] = len(outs)
+            super().__setitem__(key, value)
+
+        def __getitem__(self, key):
+            earlier[0] += stored_by[key] < len(outs)
+            return super().__getitem__(key)
+
+    def composites(memo, pairs):
+        outs.clear()
+        splits = {}
+        for u, v in pairs:
+            mask = ops.recur(_composite_one, ops.dom, memo, splits, u, v)
+            outs.append({mc[w] for w in _bits(mask)})
+        return list(outs)
+
+    branches = []
+    monkeypatch.setattr(
+        equialg.category, "_transports",
+        lambda *args: branches.append(len(out := _transports(*args))) or out)
+    found = composites(Memo(), pairs)
     assert len(pairs) > 300 and sum(n > 1 for n in branches) >= 20
-    assert sum(len(out) > 1 for out in outs) >= 50
-    for (u, v), out in zip(pairs, outs):
-        assert out == reference_compose_classes(t, mc[u], mc[v])
+    assert sum(len(out) > 1 for out in found) >= 50 and earlier[0] > 0
+    assert found == [reference_compose_classes(t, mc[u], mc[v])
+                     for u, v in pairs]
+    moved = {(h, cid) for h in t.lat.class_reps
+             for cid in range(len(t.classes[h]))
+             if len({t.conj_cls(g, h, cid)[1] for g in t.group.elements
+                     if t.conj_sid[g][h] == h}) > 1}
+
+    def hosts(c):
+        levels = [h for h, _ in c]
+        return {h for h, cid in c if (h, cid) in moved
+                and h in t.classes[h][cid] and levels.count(h) == 1}
+
+    targets = []
+    for v in rng.sample([v for v, c in enumerate(mc)
+                         if not moved.isdisjoint(c) and hosts(c)], 200):
+        hs = hosts(mc[v])
+        us = [u for u in ops.by_cod[ops.dom[v]]
+              if all(cid != t.empty(h) for h, cid in mc[u])
+              and any(c in moved and c[0] in hs for c in mc[u])]
+        if us:
+            targets.append((rng.choice(us), v))
+    refs = [reference_compose_classes(t, mc[u], mc[v]) for u, v in targets]
+    assert len(targets) >= 25 and composites({}, targets) == refs
+    monkeypatch.setattr(equialg.category, "_transports",
+                        lambda *args: _transports(*args)[:1])
+    assert all(out < ref for out, ref in zip(composites({}, targets), refs))
 
 
 def test_map_recurrence_memoises_sub_problems_for_one_pass_only(
         monkeypatch):
     """A call outside the pass memoises the sub-problems of its recurrence
-    but not its own pair, and drops them when it returns; the one pass
-    leaves no memo behind, also when it raises partway.  A class beyond
-    the cutoff is a ValidationError."""
+    but not its own pair, in a memo of its own; a pass that raises
+    partway caches nothing, and the next one builds the tables whole.  A
+    class beyond the cutoff is a ValidationError."""
     import equialg.category
     t = LevelTables(C2, 4)
     ops = _ops_for(t)
@@ -900,7 +975,8 @@ def test_map_recurrence_memoises_sub_problems_for_one_pass_only(
                         used.append(args[2]) or recur(self, *args))
     assert compose_classes(t, mc[u], mc[v])
     assert used[0] and (u, v) not in used[0]
-    assert ops.pass_memos is None
+    n = len(used)
+    assert pullback_classes(t, mc[u], mc[u]) and used[n] is not used[0]
     calls = []
 
     def fails_partway(*args):
@@ -912,9 +988,8 @@ def test_map_recurrence_memoises_sub_problems_for_one_pass_only(
     monkeypatch.setattr(equialg.category, "_pullback_one", fails_partway)
     with pytest.raises(RuntimeError, match="partway"):
         ops.operations
-    assert ops.pass_memos is None
     monkeypatch.undo()
-    assert ops.operations[0] and ops.pass_memos is None
+    assert ops.operations == _Ops(t, mc).operations
     beyond = ((0, t.star(0)),) * 5
     for op in [compose_classes, pullback_classes]:
         with pytest.raises(ValidationError, match="not a map class"):
@@ -1432,16 +1507,20 @@ def test_transfer_counts_catalan_past_c8():
 
 @pytest.mark.parametrize("group, count", [
     (d8_group(), 294), (dihedral_group(6), 3133)], ids=["D8", "D12"])
-def test_every_dihedral_transfer_closure_is_a_transfer_system(
-        monkeypatch, group, count):
-    """D8 has 24 containment pairs and D12 48.  The order of the 3133
-    nodes of D12 takes 9.8 million `leq` tests, and this checks the
-    nodes alone, so the poset is replaced by the sorted node list."""
-    monkeypatch.setattr(equialg.indexing, "Poset",
-                        lambda nodes, leq, key: sorted(nodes, key=key))
-    nodes = enumerate_transfer_systems(group)
+def test_every_dihedral_transfer_closure_is_a_transfer_system(group, count):
+    """D8 has 24 containment pairs and D12 48.  The poset is ordered by
+    inclusion of the closure masks: every up-set of D8's 294 nodes, and
+    those of a seeded sample of D12's 3133, equal the nodes whose relation
+    contains the node's (9.8 million tests for all of D12)."""
+    poset = enumerate_transfer_systems(group)
+    nodes = poset.nodes
     assert len(nodes) == count == len(set(nodes))
     assert all(transfer_check(ts) for ts in nodes)
+    rows = range(count) if count < 1000 else \
+        random.Random(12).sample(range(count), 100)
+    for i in rows:
+        assert poset.up[i] == _mask(j for j, ts in enumerate(nodes)
+                                    if nodes[i] <= ts)
 
 
 def test_transfer_of_unital_systems_and_monotone():

@@ -51,13 +51,14 @@ def test_tracer_targets_resolve():
 def test_tracer_observers_count_joins_and_order_tests():
     """With the tracer installed, a join feeds the join observer (which
     reads `result.admissible`) and a poset build counts every `leq` call
-    it passes through: none for the systems poset, which is ordered by
-    inclusion of class masks, and 5 * 5 for the transfer systems of C4."""
+    it passes through: none for the systems poset or the transfer systems
+    of C4, which are ordered by inclusion of masks, and 5 * 5 for a
+    5-node poset built from a predicate."""
     script = textwrap.dedent("""
         import json
         import equialg
         import equialg.cli
-        from equialg import indexing
+        from equialg import indexing, poset
         from equialg.groups import cyclic_group
         from tracing import Tracer
 
@@ -68,8 +69,11 @@ def test_tracer_observers_count_joins_and_order_tests():
         indexing.join(indexing.f_trivial(t), indexing.f_complete(t))
         indexing.enumerate_systems(group, 4, "all")
         indexing.enumerate_transfer_systems(cyclic_group(4))
+        by_inclusion = tracer.metrics()["poset.leq.calls"]
+        poset.Poset(range(5), leq=lambda a, b: b % (a + 1) == 0,
+                    key=lambda x: x)
         tracer.uninstall()
-        print(json.dumps(tracer.metrics()))
+        print(json.dumps(dict(tracer.metrics(), by_inclusion=by_inclusion)))
     """)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
@@ -80,4 +84,5 @@ def test_tracer_observers_count_joins_and_order_tests():
     metrics = json.loads(proc.stdout)
     assert metrics["indexing.join.calls"] >= 1
     assert metrics["indexing.join.new_ratio"] > 0
+    assert metrics["by_inclusion"] == 0
     assert metrics["poset.leq.calls"] == 5 * 5
