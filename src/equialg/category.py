@@ -18,13 +18,14 @@ pass on first use; the checker reads them, and the closure rules
 `_Ops.rules` are read off them.  A composite or pullback of a pair is a
 recurrence on the first component of the second class: split the first
 class into the part over that component and the rest, and add up the
-operation on the two smaller pairs.  Every sub-problem is a pair of
-classes of the universe, memoised by class ids as a mask: the pairs of
-the one pass share a memo, and a call of `compose_classes` or
-`pullback_classes` keeps its own.  Closure and enumeration run on the
-shared engine of `poset.close` and `poset.closure_lattice`, over int
-masks of class ids.  The two encodings' rules are computed by independent
-routines, so their agreement is a real check of the equivalence.
+operation on the two smaller pairs.  Every sub-problem is itself a
+matched pair of classes of the universe, so the rows of the tables are
+the memo of the recurrence, by class ids as masks; a call of
+`compose_classes` or `pullback_classes` keeps its own.  Closure and
+enumeration run on the shared engine of `poset.close` and
+`poset.closure_lattice`, over int masks of class ids.  The two encodings'
+rules are computed by independent routines, so their agreement is a real
+check of the equivalence.
 """
 from __future__ import annotations
 
@@ -204,8 +205,8 @@ def _pair_classes(tables, first, side: str, a: tuple, b: tuple) -> set:
     sides = getattr(ops, side)
     if ops.cod[u] != sides[v]:
         return set()
-    return {ops.classes[w]
-            for w in _bits(ops.recur(first, sides, {}, {}, u, v))}
+    mask = ops.recur(first, sides, defaultdict(dict), {}, u, v)
+    return {ops.classes[w] for w in _bits(mask)}
 
 
 def _composite_one(ops, a: tuple, comp: tuple) -> int:
@@ -311,40 +312,38 @@ class _Ops:
                 f"{exc.args[0]} is not a map class within cutoff "
                 f"{self.tables.cutoff}") from None
 
-    def recur(self, first, side: list, memo: dict, splits: dict,
+    def recur(self, first, side: list, memo, splits: dict,
               u: int, v: int) -> int:
         """The mask of the composites (`first` is `_composite_one`, `side`
         is `self.dom`) or the pullbacks (`_pullback_one`, `self.cod`) of
         the class ids u and v, by the recurrence of `compose_classes` and
         `pullback_classes`: the parts of u that meet the head of v have
-        `side[head]` as their codomain.  `memo` holds the sub-problems and
-        `splits` the splits of u; (u, v) itself is not stored, as the one
-        pass asks it once."""
-        mc, id_of = self.classes, self.id_of
+        `side[head]` as their codomain.  Each sub-problem is a matched
+        pair too, kept with (u, v) as `memo[u][v]`; `splits` holds u's
+        splits."""
+        row, mc, id_of = memo[u], self.classes, self.id_of
+        if v in row:
+            return row[v]
         c2 = mc[v]
         if len(c2) < 2:
-            return first(self, mc[u], c2[0]) if c2 else 1 << id_of[()]
+            out = row[v] = first(self, mc[u], c2[0]) if c2 else 1 << id_of[()]
+            return out
         head, tail = id_of[c2[:1]], id_of[c2[1:]]
         if u not in splits:
             splits[u] = _splits(self, u)
         out = 0
         for a, rest in splits[u].get(side[head], ()):
-            x = self._sub(first, side, memo, splits, a, head)
+            x = self.recur(first, side, memo, splits, a, head)
             if not x:
                 continue
-            y = self._sub(first, side, memo, splits, rest, tail)
+            y = self.recur(first, side, memo, splits, rest, tail)
             for i in _bits(x):
                 for j in _bits(y):  # a union beyond the cutoff has no id
                     w = id_of.get(tuple(sorted(mc[i] + mc[j])))
                     if w is not None:
                         out |= 1 << w
+        row[v] = out
         return out
-
-    def _sub(self, first, side, memo, splits, u: int, v: int) -> int:
-        """`recur` on a sub-problem, through `memo`."""
-        if (u, v) not in memo:
-            memo[u, v] = self.recur(first, side, memo, splits, u, v)
-        return memo[u, v]
 
     @cached_property
     def operations(self) -> tuple:
@@ -353,29 +352,29 @@ class _Ops:
         domain is the codomain of u; its pullbacks, (v, mask) along each v
         to its codomain; the mask of its proper summands; and its unions,
         (v, id of u + v) for each v whose disjoint union with u fits the
-        cutoff.  Partners ascend."""
+        cutoff.  Partners ascend; the composite and pullback rows are the
+        memos of `recur`, so each matched pair is answered once."""
         t, mc, id_of = self.tables, self.classes, self.id_of
         by_dom = defaultdict(list)
         for v, d in enumerate(self.dom):
             by_dom[d].append(v)
         sizes = [class_sizes(t, c) for c in mc]
-        composites, pullbacks, summands, unions = [], [], [], []
-        # the memos of `recur` for the pass: the sub-problems of
-        # composites, those of pullbacks, and the splits of each class
-        composed, pulled, splits = {}, {}, {}
+        summands, unions = [], []
+        # the memos of `recur`, a row per class, and the splits
+        composed, pulled, splits = defaultdict(dict), defaultdict(dict), {}
         for u, c in enumerate(mc):
-            composites.append([
-                (v, self.recur(_composite_one, self.dom, composed, splits, u, v))
-                for v in by_dom[self.cod[u]]])
-            pullbacks.append([
-                (v, self.recur(_pullback_one, self.cod, pulled, splits, u, v))
-                for v in self.by_cod[self.cod[u]]])
+            for v in by_dom[self.cod[u]]:
+                self.recur(_composite_one, self.dom, composed, splits, u, v)
+            for v in self.by_cod[self.cod[u]]:
+                self.recur(_pullback_one, self.cod, pulled, splits, u, v)
             summands.append(_mask(id_of[m] for m in sub_multisets(c)))
             src, dst = sizes[u]
             unions.append([(v, id_of[tuple(sorted(c + mc[v]))])
                            for v, (s, d) in enumerate(sizes)
                            if src + s <= t.cutoff and dst + d <= t.cutoff])
-        return composites, pullbacks, summands, unions
+        n = range(len(mc))
+        return ([sorted(composed[u].items()) for u in n],
+                [sorted(pulled[u].items()) for u in n], summands, unions)
 
     @cached_property
     def rules(self) -> list:
@@ -401,15 +400,16 @@ def _ops_for(tables: LevelTables) -> _Ops:
 
 def is_weak_indexing_category(tables: LevelTables, classes) -> CheckReport:
     """Literal validity of an explicit set of map classes: wideness,
-    composition, pullback stability, and both summand directions.  A class
-    beyond the cutoff is a ValidationError."""
+    composition, pullback stability (a summand is the pullback along the
+    inclusion of its codomain, so this splits summands) and assembly of
+    summands.  A class beyond the cutoff is a ValidationError."""
     ops = _ops_for(tables)
     ids = set(ops.encode_all(classes))
     mc = ops.classes
     for u in ops.isos:
         if u not in ids:
-            return CheckReport(False, "wide", mc[u], "missing an isomorphism class")
-    composites, pullbacks, summands, unions = ops.operations
+            return CheckReport(False, "wide", mc[u])
+    composites, pullbacks, _, unions = ops.operations
     pool = sorted(ids)
     for u in pool:
         for v, m in composites[u]:
@@ -421,10 +421,6 @@ def is_weak_indexing_category(tables: LevelTables, classes) -> CheckReport:
             for w in _bits(m):
                 if w not in ids:
                     return CheckReport(False, "pullback", (mc[u], mc[v], mc[w]))
-    for u in pool:
-        for w in _bits(summands[u]):
-            if w not in ids:
-                return CheckReport(False, "summand-split", (mc[u], mc[w]))
     for u in pool:
         for v, w in unions[u]:
             if v in ids and w not in ids:
@@ -541,22 +537,24 @@ def enumerate_categories(group: FiniteGroup, cutoff: int,
     """Exhaustive map-class-set enumeration (the oracle path; small scale).
 
     Every valid class set is the closure of its members, so
-    `closure_lattice` over all classes is exhaustive.
+    `closure_lattice` over all classes (with one more unary rule for
+    "almost_unital") is exhaustive.
     """
     if which not in ("all", "unital", "almost_unital"):
         raise ValidationError(f"unknown filter {which!r}")
-    tables = level_tables(group, cutoff)
-    ops = _ops_for(tables)
+    t = level_tables(group, cutoff)
+    ops = _ops_for(t)
     if len(ops.classes) > GROUND_GUARD:
         raise GuardExceededError(
             f"{len(ops.classes)} map classes exceed the guard of {GROUND_GUARD}")
-    found = closure_lattice(ops.rules, ops.core_mask(which == "unital"),
+    rules = ops.rules
+    if which == "almost_unital":
+        # a component other than the one-point fiber forces its level's unit
+        rules = [(r[0] | _mask(ops.id_of[((h, t.empty(h)),)] for h, cid in mc
+                               if cid != t.star(h)), *r[1:])
+                 for mc, r in zip(ops.classes, rules)]
+    found = closure_lattice(rules, ops.core_mask(which == "unital"),
                             (1 << len(ops.classes)) - 1)
     mask_of = {frozenset(ops.classes[i] for i in _bits(m)): m for m in found}
-    nodes = list(mask_of)
-    if which == "almost_unital":
-        nodes = [n for n in nodes
-                 if WeakIndexingCategory.from_map_classes(tables, n)
-                 .to_system().is_almost_unital()]
-    return Poset.by_inclusion(nodes, mask_of.__getitem__,
+    return Poset.by_inclusion(list(mask_of), mask_of.__getitem__,
                               key=lambda n: (len(n), tuple(sorted(n))))

@@ -31,11 +31,10 @@ class TheoremViolation(AssertionError):
 class CheckReport:
     """Outcome of a validity check; falsy iff some axiom failed."""
 
-    def __init__(self, ok: bool, axiom: str = "", witness=None, message: str = ""):
+    def __init__(self, ok: bool, axiom: str = "", witness=None):
         self.ok = bool(ok)
         self.axiom = axiom
         self.witness = witness
-        self.message = message
 
     def __bool__(self):
         return self.ok

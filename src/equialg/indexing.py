@@ -419,8 +419,7 @@ def system_check(sys: WeakIndexingSystem) -> CheckReport:
     adm = sys.admissible
     for hi in range(t.n_sids):
         if t.star(hi) not in adm[hi]:
-            return CheckReport(False, "unit", (hi,),
-                               "missing one-point set at some level")
+            return CheckReport(False, "unit", (hi,))
     if not t.abelian:
         for g in t.group.elements:
             for hi in range(t.n_sids):

@@ -159,6 +159,19 @@ def test_enumerate_dot_output(tmp_path, capsys):
         "2e97824399ccdcbbe13095de89ea48558d91ee316464c065385947e6a0ea6dc4"
 
 
+def test_enumerate_dot_to_stdout_ends_in_one_newline(capsys):
+    """With no --output the DOT follows the count line on stdout, as the
+    file holds it, and ends in exactly one newline."""
+    code, out, _ = run(capsys, "enumerate", "--group", "cyclic:4",
+                       "--transfer-systems", "--format", "dot")
+    assert code == 0
+    head, dot = out.split("\n", 1)
+    assert head == "C4: 5 transfer systems"
+    assert dot.endswith("}\n") and not dot.endswith("\n\n")
+    assert hashlib.sha256(dot.encode()).hexdigest() == \
+        "2e97824399ccdcbbe13095de89ea48558d91ee316464c065385947e6a0ea6dc4"
+
+
 def test_eh_check_pair_file_pass(tmp_path, capsys):
     pair = enumerate_interchanging_pairs(2, 2, 2)[-1]
     f = tmp_path / "pair.json"

@@ -39,7 +39,8 @@ from equialg.indexing import (LevelTables, TransferSystem, WeakIndexingSystem,
                               level_tables, meet, system_check,
                               transfer_check, transfer_system_of,
                               truncate_system)
-from equialg.poset import LATTICE_GUARD, Poset, _bits, _mask, close
+from equialg.poset import (LATTICE_GUARD, Poset, _bits, _mask, _union,
+                           close)
 
 C1 = trivial_group()
 C2 = cyclic_group(2)
@@ -169,6 +170,51 @@ def test_isos_plus_fold_fails_with_pullback_witness():
     assert not rep and rep.axiom == "pullback"
     f, g, missing = rep.witness
     assert f == map_class_of(t, fold_map(C2))
+
+
+def test_category_checker_names_a_missing_isomorphism():
+    """Every isomorphism class but the identity of G/G: not wide, and the
+    witness is that class."""
+    t = level_tables(C2, 4)
+    top = (1, t.star(1))
+    rep = is_weak_indexing_category(t, iso_classes(t) - {(top,)})
+    assert not rep and rep.axiom == "wide" and rep.witness == (top,)
+
+
+@pytest.mark.parametrize("group, cutoff", [
+    (C2, 4), (C2, 6), (C4, 4), (direct_product(C2, C2), 4),
+    (s3_group(), 6)], ids=["C2@4", "C2@6", "C4@4", "C2xC2@4", "S3@6"])
+def test_summands_are_pullbacks_along_inclusions(group, cutoff):
+    """The summand of a class u over part of its codomain is the pullback
+    of u along the inclusion of that part, so the summands of u lie in its
+    pullbacks, and the checker's pullback stability splits summands."""
+    ops = _ops_for(LevelTables(group, cutoff))
+    _, pullbacks, summands, _ = ops.operations
+    for subs, row in zip(summands, pullbacks):
+        assert subs & ~_union(m for _, m in row) == 0
+
+
+def test_a_missing_summand_is_a_missing_pullback():
+    """The isomorphisms and the class of the identity of G/e plus the fold
+    G/e -> G/G: its summand, the fold alone, is missing, and the checker
+    names it as the pullback along the inclusion of G/G."""
+    t = level_tables(C2, 4)
+    fold = map_class_of(t, fold_map(C2))
+    u = tuple(sorted(fold + ((0, t.star(0)),)))
+    rep = is_weak_indexing_category(t, iso_classes(t) | {u})
+    assert not rep and rep.axiom == "pullback"
+    inclusion = ((0, t.empty(0)), (1, t.star(1)))
+    assert rep.witness == (u, inclusion, fold)
+
+
+def test_operations_on_an_unmatched_pair_are_empty():
+    """The identity of G/e and that of G/G neither compose nor share a
+    codomain."""
+    t = level_tables(C2, 4)
+    free, point = ((0, t.star(0)),), ((1, t.star(1)),)
+    assert compose_classes(t, free, point) == set()
+    assert compose_classes(t, point, free) == set()
+    assert pullback_classes(t, free, point) == set()
 
 
 def recursive_iso_classes(tables):
@@ -839,6 +885,47 @@ def test_map_tables_compute_each_matched_pair_once(monkeypatch):
         len(over_one_cod) == 1962
 
 
+def test_map_tables_answer_each_matched_pair_once(monkeypatch):
+    """The rows of the composite and pullback tables are the memo of
+    `_Ops.recur`: every sub-problem is a matched pair of the same table,
+    so the one pass computes each pair that composes and each pair over
+    one codomain once, whether the pass asks it first or a recurrence
+    reaches it, and reads the row after that.  Each pair meets a row that
+    does not yet hold it in exactly one call, and is stored in its row
+    exactly once."""
+    t = LevelTables(C2, 4)
+    ops = _ops_for(t)
+    asked = {_composite_one: [], _pullback_one: []}
+    stored = {_composite_one: [], _pullback_one: []}
+    recur = _Ops.recur
+
+    class Row(dict):
+        """A memo row that records every answer stored in it."""
+
+        def __setitem__(self, v, mask):
+            stored[self.first].append((self.u, v))
+            super().__setitem__(v, mask)
+
+    def counted(self, first, side, memo, splits, u, v):
+        memo.default_factory = Row
+        row = memo[u]
+        row.first, row.u = first, u
+        if v not in row:
+            asked[first].append((u, v))
+        return recur(self, first, side, memo, splits, u, v)
+
+    monkeypatch.setattr(_Ops, "recur", counted)
+    composites, pullbacks, _, _ = ops.operations
+    composable, over_one_cod = _matched_pairs(ops)
+    assert len(composable) == 1533 and len(over_one_cod) == 1962
+    for table, first, pairs in [(composites, _composite_one, composable),
+                                (pullbacks, _pullback_one, over_one_cod)]:
+        assert sorted(asked[first]) == pairs
+        assert sorted(stored[first]) == pairs
+        assert [(u, v) for u, row in enumerate(table) for v, _ in row] == \
+            pairs
+
+
 # SHA-256 of repr((composites, pullbacks)) of `_Ops.operations` on S3 at
 # cutoff 6, as the per-pair state search built them
 S3_MAP_TABLES_SHA256 = \
@@ -903,16 +990,29 @@ def test_map_recurrence_matches_the_references_where_transports_branch(
             pairs.append((rng.choice(us), v))
     outs, stored_by, earlier = [], {}, [0]
 
+    class Row(dict):
+        """The memo row of class u: counts the reads of answers that an
+        earlier pair stored."""
+
+        def __init__(self, u):
+            super().__init__()
+            self.u = u
+
+        def __setitem__(self, v, value):
+            stored_by[self.u, v] = len(outs)
+            super().__setitem__(v, value)
+
+        def __getitem__(self, v):
+            earlier[0] += stored_by[self.u, v] < len(outs)
+            return super().__getitem__(v)
+
     class Memo(dict):
-        """Counts the reads of sub-problems that an earlier pair stored."""
+        """One `Row` per class, made on first use, as `defaultdict(dict)`
+        makes the rows of `recur`'s memo."""
 
-        def __setitem__(self, key, value):
-            stored_by[key] = len(outs)
-            super().__setitem__(key, value)
-
-        def __getitem__(self, key):
-            earlier[0] += stored_by[key] < len(outs)
-            return super().__getitem__(key)
+        def __missing__(self, u):
+            self[u] = row = Row(u)
+            return row
 
     def composites(memo, pairs):
         outs.clear()
@@ -951,18 +1051,20 @@ def test_map_recurrence_matches_the_references_where_transports_branch(
         if us:
             targets.append((rng.choice(us), v))
     refs = [reference_compose_classes(t, mc[u], mc[v]) for u, v in targets]
-    assert len(targets) >= 25 and composites({}, targets) == refs
+    assert len(targets) >= 25 and \
+        composites(defaultdict(dict), targets) == refs
     monkeypatch.setattr(equialg.category, "_transports",
                         lambda *args: _transports(*args)[:1])
-    assert all(out < ref for out, ref in zip(composites({}, targets), refs))
+    assert all(out < ref for out, ref in
+               zip(composites(defaultdict(dict), targets), refs))
 
 
 def test_map_recurrence_memoises_sub_problems_for_one_pass_only(
         monkeypatch):
-    """A call outside the pass memoises the sub-problems of its recurrence
-    but not its own pair, in a memo of its own; a pass that raises
-    partway caches nothing, and the next one builds the tables whole.  A
-    class beyond the cutoff is a ValidationError."""
+    """A call outside the pass memoises its own pair and the sub-problems
+    of its recurrence, in a memo of its own; a pass that raises partway
+    caches nothing, and the next one builds the tables whole.  A class
+    beyond the cutoff is a ValidationError."""
     import equialg.category
     t = LevelTables(C2, 4)
     ops = _ops_for(t)
@@ -973,8 +1075,9 @@ def test_map_recurrence_memoises_sub_problems_for_one_pass_only(
     recur = _Ops.recur
     monkeypatch.setattr(_Ops, "recur", lambda self, *args:
                         used.append(args[2]) or recur(self, *args))
-    assert compose_classes(t, mc[u], mc[v])
-    assert used[0] and (u, v) not in used[0]
+    out = compose_classes(t, mc[u], mc[v])
+    assert out and {mc[w] for w in _bits(used[0][u][v])} == out
+    assert sum(map(len, used[0].values())) > 1
     n = len(used)
     assert pullback_classes(t, mc[u], mc[u]) and used[n] is not used[0]
     calls = []
@@ -1571,6 +1674,20 @@ def test_transfer_system_rejects_subgroup_ids_out_of_range(rel):
     was read as the last subgroup and reported as refines-containment."""
     with pytest.raises(ValidationError, match=r"range\(2\)"):
         TransferSystem(C2, rel)
+
+
+def test_transfer_system_rejects_a_pair_outside_containment():
+    """(1, 0) is in range but relates C2 to e, which it does not lie in:
+    the validating constructor raises past its range check, and
+    `transfer_check` names the pair."""
+    assert subgroup_lattice(C2).nodes[1].members == frozenset({0, 1})
+    with pytest.raises(ValidationError, match=r"not a transfer system: "
+                       r"CheckReport\(fail: refines-containment, "
+                       r"witness=\(1, 0\)\)"):
+        TransferSystem(C2, [(1, 0)])
+    rep = transfer_check(TransferSystem(C2, [(1, 0)], validate=False))
+    assert not rep and rep.axiom == "refines-containment"
+    assert rep.witness == (1, 0)
 
 
 def test_transfer_extraction_needs_unital():

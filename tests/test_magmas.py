@@ -231,6 +231,32 @@ def test_binary_interchange_implies_grid_law_on_p3_sweep_pairs(
     assert len(sent) == 154
 
 
+def test_check_interchange_needs_shared_units():
+    """Min on {0, 1} (unit 1) against Z2 (unit 0): two valid magmas with
+    different units."""
+    low = ((0, 0), (0, 1))
+    star = CpUnitalMagma(BASE22, low, 1, low, 1, [0, 1])
+    rep = check_interchange(InterchangePair(star, z2_magma([0, 0])))
+    assert not rep and rep.axiom == "shared-unit" and rep.witness == ()
+
+
+@pytest.mark.parametrize("star_t, bullet_t, axiom", [
+    ([1, 1], [1, 1], "t-bullet-star-homomorphism"),
+    ([1, 1], [0, 1], "t-star-bullet-homomorphism")],
+    ids=["bullet-t", "star-t"])
+def test_check_interchange_names_a_transfer_that_is_no_homomorphism(
+        star_t, bullet_t, axiom):
+    """Z2 at both levels for both structures, so the units are shared and
+    binary interchange holds; a transfer that is no homomorphism fails.
+    A valid magma's transfer is multiplicative and, by Eckmann-Hilton,
+    the two products agree, so only structures built with
+    `validate=False` reach these two checks."""
+    star, bullet = (CpUnitalMagma(BASE22, Z2, 0, Z2, 0, t, validate=False)
+                    for t in (star_t, bullet_t))
+    rep = check_interchange(InterchangePair(star, bullet))
+    assert not rep and rep.axiom == axiom and rep.witness == (0, 0)
+
+
 def test_check_interchange_couples_the_transfers():
     base = CoefficientSystem(2, 2, [0, 1], 4, [0, 1, 0, 1])
     star = CpUnitalMagma(base, Z2, 0, Z4, 0, [0, 0])
