@@ -12,8 +12,8 @@ and closure (composition, pullback against arbitrary maps, summand
 splitting and assembly, all isomorphisms), an exhaustive enumeration at
 small scale, and the conversions to and from the system encoding of
 `indexing.py`.  The pair operations of every class (composites where the
-codomain meets a domain, pullbacks over one codomain, summands, and the
-unions that fit the cutoff) are tables, `_Ops.operations`, built in one
+codomain meets a domain, pullbacks over one codomain, and the unions
+that fit the cutoff) are tables, `_Ops.operations`, built in one
 pass on first use; the checker reads them, and the closure rules
 `_Ops.rules` are read off them.  A composite or pullback of a pair is a
 recurrence on the first component of the second class: split the first
@@ -264,11 +264,6 @@ def _parts(mc: tuple):
             yield part, tuple(mc[i] for i in range(n) if not bits >> i & 1)
 
 
-def sub_multisets(mc: tuple) -> set:
-    """All proper nonempty sub-multisets of a component multiset."""
-    return {part for part, rest in _parts(mc) if part and rest}
-
-
 def _splits(ops, u: int) -> dict:
     """The (sub-multiset, rest) id pairs of the class u, grouped by the
     codomain of the sub-multiset."""
@@ -350,16 +345,16 @@ class _Ops:
         """The pair operations on every class u, in one pass on first use:
         its composites, (v, mask of the classes of v∘u) for each v whose
         domain is the codomain of u; its pullbacks, (v, mask) along each v
-        to its codomain; the mask of its proper summands; and its unions,
-        (v, id of u + v) for each v whose disjoint union with u fits the
-        cutoff.  Partners ascend; the composite and pullback rows are the
-        memos of `recur`, so each matched pair is answered once."""
+        to its codomain; and its unions, (v, id of u + v) for each v whose
+        disjoint union with u fits the cutoff.  Partners ascend; the
+        composite and pullback rows are the memos of `recur`, so each
+        matched pair is answered once."""
         t, mc, id_of = self.tables, self.classes, self.id_of
         by_dom = defaultdict(list)
         for v, d in enumerate(self.dom):
             by_dom[d].append(v)
         sizes = [class_sizes(t, c) for c in mc]
-        summands, unions = [], []
+        unions = []
         # the memos of `recur`, a row per class, and the splits
         composed, pulled, splits = defaultdict(dict), defaultdict(dict), {}
         for u, c in enumerate(mc):
@@ -367,24 +362,23 @@ class _Ops:
                 self.recur(_composite_one, self.dom, composed, splits, u, v)
             for v in self.by_cod[self.cod[u]]:
                 self.recur(_pullback_one, self.cod, pulled, splits, u, v)
-            summands.append(_mask(id_of[m] for m in sub_multisets(c)))
             src, dst = sizes[u]
             unions.append([(v, id_of[tuple(sorted(c + mc[v]))])
                            for v, (s, d) in enumerate(sizes)
                            if src + s <= t.cutoff and dst + d <= t.cutoff])
         n = range(len(mc))
         return ([sorted(composed[u].items()) for u in n],
-                [sorted(pulled[u].items()) for u in n], summands, unions)
+                [sorted(pulled[u].items()) for u in n], unions)
 
     @cached_property
     def rules(self) -> list:
         """The `poset.rule_table` over class ids: alone a class u forces
-        its summands and its pullbacks along every map to its codomain;
-        with a partner, the composites in both orders and the disjoint
-        union (read once, from the lesser id)."""
-        composites, pullbacks, summands, unions = self.operations
-        unary = [_union(m for _, m in bases) | subs
-                 for bases, subs in zip(pullbacks, summands)]
+        its pullbacks along every map to its codomain, its summands among
+        them (the pullbacks along inclusions); with a partner, the
+        composites in both orders and the disjoint union (read once, from
+        the lesser id)."""
+        composites, pullbacks, unions = self.operations
+        unary = [_union(m for _, m in bases) for bases in pullbacks]
         return rule_table(unary, (
             (u, v, m) for u, (after, joins) in enumerate(zip(composites, unions))
             for v, m in after + [(v, 1 << w) for v, w in joins if u <= v]))
@@ -409,7 +403,7 @@ def is_weak_indexing_category(tables: LevelTables, classes) -> CheckReport:
     for u in ops.isos:
         if u not in ids:
             return CheckReport(False, "wide", mc[u])
-    composites, pullbacks, _, unions = ops.operations
+    composites, pullbacks, unions = ops.operations
     pool = sorted(ids)
     for u in pool:
         for v, m in composites[u]:

@@ -10,17 +10,18 @@ H-set classes are encoded as sorted multisets of orbit types, an orbit
 type being an H-conjugacy-class representative of a subgroup of H.  The
 finite encoding truncates level H at cutoff * |H| / |G| points, so that an
 H-set is representable exactly when the G-set induced from it fits the
-global cutoff; an empirical doubling test (enumerate at c and 2c) guards
+global cutoff; an empirical doubling test (enumerate at c and 2c) checks
 the truncation.
 
 A system is stored as one int mask over the tables' classes and nothing
 else.  Closure, joins, meets and exhaustive enumeration build that mask
-through `poset.close` and `poset.join` over `LevelTables.rules`; the
-per-level id sets (`WeakIndexingSystem.admissible`) are a view derived
-from it, and `LevelTables.mask_of` is the one conversion back.  Transfer
-systems live here as well, on the same engine.  The equivalent encoding
-by categories of G-set maps is in `category.py`; it shares the engine but
-not the rules.
+through `poset.close`, `poset.join` and `poset.closure_lattice` over
+`LevelTables.rules`; the per-level id sets (`WeakIndexingSystem.admissible`)
+are a view derived from it, and `LevelTables.mask_of` is the one
+conversion back.  Transfer systems live here as well, on the same engine.
+The equivalent encoding by categories of G-set maps is in `category.py`;
+it shares the engine but not the rules, and filters almost-unital by the
+same unary rule.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ class LevelTables:
     Everything derived from one group and cutoff is kept here, so it
     lives exactly as long as the tables: orbit restrictions, every class's
     closure rules and the map-class operations of `category` (both built
-    whole on first use), and the posets and cores of `enumerate_systems`.
+    whole on first use), and the posets of `enumerate_systems`.
     """
 
     def __init__(self, group: FiniteGroup, cutoff: int):
@@ -103,7 +104,6 @@ class LevelTables:
             self.offset.append(len(self.bit_class))
             self.bit_class.extend((hi, cid) for cid in range(len(lst)))
         self.posets: dict = {}      # enumerate_systems filter -> Poset
-        self.cores: dict = {}       # (core, seed levels) -> joins over core
         self.map_ops = None         # category._Ops over every map class
 
     # -- raw helpers ---------------------------------------------------
@@ -516,27 +516,21 @@ def f_complete(tables: LevelTables) -> WeakIndexingSystem:
 
 # -- enumeration --------------------------------------------------------
 
-def _families(tables: LevelTables):
-    """Downward-closed, conjugation-stable subgroup families, as sid sets:
-    the closed sets where H forces its subgroups and its conjugates."""
-    t = tables
-    unary = [_mask(t.sub_sids[hi]) | _mask(row[hi] for row in t.conj_sid)
-             for hi in range(t.n_sids)]
-    found = closure_lattice(rule_table(unary, ()), 0, (1 << t.n_sids) - 1)
-    return sorted((frozenset(_bits(m)) for m in found),
-                  key=lambda f: (len(f), sorted(f)))
-
-
 def enumerate_systems(group: FiniteGroup, cutoff: int | None = None,
                       which: str = "all") -> Poset:
     """All weak indexing systems at the cutoff, as a poset under containment.
 
     `which` is one of "all", "unital", "almost_unital".  Every system is
-    the closure of a closed core and some classes, so `closure_lattice`
-    over the classes is exhaustive.  The unfiltered lattice is not
-    finite in the large-cutoff limit (fold arities may live in proper
-    numerical submonoids), so "all" is guarded to small ground sets; the
-    unital and almost-unital posets are finite and saturate.
+    the closure of the one-point sets and some classes, so one
+    `closure_lattice` over all classes is exhaustive; "almost_unital"
+    adds the unary rule that a class other than the one-point set forces
+    its level's empty set, and "unital" keeps the almost-unital systems
+    with every unit.  The unfiltered lattice is not finite in the
+    large-cutoff limit (fold arities may live in proper numerical
+    submonoids), so "all" is guarded to small ground sets.  The doubling
+    test (enumerate at c and 2c) checks whether a cutoff saturates the
+    unital and almost-unital posets; 3·|G| does not for C6, S3, C9, C10
+    and D10.
     """
     if which not in ("all", "unital", "almost_unital"):
         raise ValidationError(f"unknown filter {which!r}")
@@ -550,37 +544,32 @@ def enumerate_systems(group: FiniteGroup, cutoff: int | None = None,
         _guard(len(t.bit_class), ALL_LEVEL_GUARD, "that guard is for the "
                "unfiltered 'all'; filter 'unital' or 'almost_unital' (guarded "
                f"at {LEVEL_GUARD}), or lower the cutoff")
-        found = _enumerate_over_core(t, core_levels=(), seed_levels=range(t.n_sids))
+        found = _systems(t, t.rules)
     elif which == "unital":
-        found = _enumerate_over_core(t, core_levels=range(t.n_sids),
-                                     seed_levels=range(t.n_sids))
+        found = [s for s in enumerate_systems(group, cutoff, "almost_unital")
+                 if s.is_unital()]
     else:
-        # closing at the family's levels stays there, so every node is
-        # almost-unital with exactly that unit family: no filter, no repeats
-        found = [s for fam in _families(t)
-                 for s in _enumerate_over_core(t, core_levels=sorted(fam),
-                                               seed_levels=sorted(fam))]
+        # a class other than the one-point set forces its level's empty set
+        unit = [1 << t.offset[hi] + t.empty(hi) for hi in range(t.n_sids)]
+        found = _systems(t, [(u | unit[hi] if cid != t.star(hi) else u, *rest)
+                             for (hi, cid), (u, *rest)
+                             in zip(t.bit_class, t.rules)])
     poset = Poset.by_inclusion(found, lambda s: s.mask,
                                key=lambda s: s.sort_key())
     t.posets[which] = poset
     return poset
 
 
-def _enumerate_over_core(tables, core_levels, seed_levels):
-    t = tables
-    key = (tuple(core_levels), tuple(seed_levels))
-    if key not in t.cores:
-        candidates = _mask(t.offset[hi] + cid for hi in seed_levels
-                           for cid in range(len(t.classes[hi])))
-        try:
-            found = closure_lattice(t.rules, t.seed_mask(core_levels),
-                                    candidates)
-        except GuardExceededError as exc:
-            raise GuardExceededError(
-                f"{exc}; a filter or a lower cutoff gives fewer") from None
-        t.cores[key] = [WeakIndexingSystem(t, m, validate=False)
-                        for m in found]
-    return t.cores[key]
+def _systems(t: LevelTables, rules) -> list:
+    """The closed sets of `rules` over the one-point sets, every class a
+    candidate, as systems."""
+    try:
+        found = closure_lattice(rules, t.seed_mask(),
+                                (1 << len(t.bit_class)) - 1)
+    except GuardExceededError as exc:
+        raise GuardExceededError(
+            f"{exc}; a filter or a lower cutoff gives fewer") from None
+    return [WeakIndexingSystem(t, m, validate=False) for m in found]
 
 
 def truncate_system(sys: WeakIndexingSystem, tables_small: LevelTables

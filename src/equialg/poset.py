@@ -4,9 +4,8 @@ every closed-set search: `close` (semi-naive evaluation, each pair rule
 applied when its later member is popped, from its shorter side), `join`
 (two closed sets, across their differences only) and `closure_lattice`
 (Fast Close-by-One) on int bitmasks, under the rules of `rule_table`
-that `groups._product_rules`, `indexing._families`,
-`indexing.LevelTables`, `indexing.enumerate_transfer_systems` and
-`category._Ops` supply."""
+that `groups._product_rules`, `indexing.LevelTables`,
+`indexing.enumerate_transfer_systems` and `category._Ops` supply."""
 from __future__ import annotations
 
 import hashlib

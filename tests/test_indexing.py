@@ -11,7 +11,6 @@ import weakref
 from collections import defaultdict
 from itertools import combinations, permutations, product
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -19,20 +18,20 @@ import equialg
 from equialg import (GuardExceededError, ValidationError, cyclic_group,
                      direct_product, trivial_group)
 from equialg.category import (WeakIndexingCategory, _composite_one, _Ops,
-                              _ops_for, _pullback_one, _transports,
+                              _ops_for, _parts, _pullback_one, _transports,
                               class_sizes, close_category, comp_sizes,
                               component, compose_classes, cod_class,
                               dom_class, enumerate_categories,
                               generate_category, i_complete, i_trivial,
                               is_weak_indexing_category, iso_classes,
                               map_class_of, map_class_universe,
-                              pullback_classes, sub_multisets)
+                              pullback_classes)
 from equialg.errors import CutoffOverflowError
 from equialg.groups import FiniteGroup, Subgroup, subgroup_lattice, subgroups
 from equialg.gsets import (GSet, GSetMap, equivariant_maps, from_orbit_types,
                            orbit_projection, terminal_map)
 from equialg.indexing import (LevelTables, TransferSystem, WeakIndexingSystem,
-                              _count_level_classes, _families,
+                              _count_level_classes,
                               close_system, enumerate_systems,
                               enumerate_transfer_systems, f_complete,
                               f_infinity, f_trivial, f_zero, join,
@@ -40,7 +39,7 @@ from equialg.indexing import (LevelTables, TransferSystem, WeakIndexingSystem,
                               transfer_check, transfer_system_of,
                               truncate_system)
 from equialg.poset import (LATTICE_GUARD, Poset, _bits, _mask, _union,
-                           close)
+                           close, closure_lattice)
 
 C1 = trivial_group()
 C2 = cyclic_group(2)
@@ -181,16 +180,24 @@ def test_category_checker_names_a_missing_isomorphism():
     assert not rep and rep.axiom == "wide" and rep.witness == (top,)
 
 
+def summand_masks(ops):
+    """Per class, the mask of its summands: its proper nonempty
+    sub-multisets."""
+    return [_mask(ops.id_of[part] for part, rest in _parts(mc) if part and rest)
+            for mc in ops.classes]
+
+
 @pytest.mark.parametrize("group, cutoff", [
     (C2, 4), (C2, 6), (C4, 4), (direct_product(C2, C2), 4),
     (s3_group(), 6)], ids=["C2@4", "C2@6", "C4@4", "C2xC2@4", "S3@6"])
 def test_summands_are_pullbacks_along_inclusions(group, cutoff):
     """The summand of a class u over part of its codomain is the pullback
     of u along the inclusion of that part, so the summands of u lie in its
-    pullbacks, and the checker's pullback stability splits summands."""
+    pullbacks, and the checker's pullback stability splits summands (and
+    the closure rules, which read no summand table)."""
     ops = _ops_for(LevelTables(group, cutoff))
-    _, pullbacks, summands, _ = ops.operations
-    for subs, row in zip(summands, pullbacks):
+    _, pullbacks, _ = ops.operations
+    for subs, row in zip(summand_masks(ops), pullbacks):
         assert subs & ~_union(m for _, m in row) == 0
 
 
@@ -459,7 +466,7 @@ def test_systems_are_the_closed_masks_over_the_point_sets(group, cutoff):
 def test_named_systems_are_closed_masks(group, cutoff):
     t = level_tables(group, cutoff)
     named = [f_trivial(t), f_infinity(t), f_complete(t)] + [
-        f_zero(t, family) for family in _families(t)]
+        f_zero(t, family) for family in reference_families(t)]
     for system in named:
         assert close(t.rules, system.mask) == system.mask
 
@@ -775,7 +782,8 @@ def reference_map_rules(ops, composites, pullbacks):
     tables replaced: per class u, its summands and its pullbacks along
     every map to its codomain, then a scan of every class v for the
     composites in both orders and the union.  `composites` and `pullbacks`
-    map each matched pair (u, v) to its classes."""
+    map each matched pair (u, v) to its classes.  The one-pass rules read
+    no summands, so their equality shows the pullbacks hold them."""
     t, mc, id_of = ops.tables, ops.classes, ops.id_of
 
     def compose(u, v):
@@ -788,8 +796,7 @@ def reference_map_rules(ops, composites, pullbacks):
                 else 0)
 
     rules = []
-    for u in range(len(mc)):
-        unary = _mask(id_of[m] for m in sub_multisets(mc[u]))
+    for u, unary in enumerate(summand_masks(ops)):
         for g in ops.by_cod[ops.cod[u]]:
             unary |= _mask(id_of[m] for m in pullbacks[u, g])
         forced = {}
@@ -915,7 +922,7 @@ def test_map_tables_answer_each_matched_pair_once(monkeypatch):
         return recur(self, first, side, memo, splits, u, v)
 
     monkeypatch.setattr(_Ops, "recur", counted)
-    composites, pullbacks, _, _ = ops.operations
+    composites, pullbacks, _ = ops.operations
     composable, over_one_cod = _matched_pairs(ops)
     assert len(composable) == 1533 and len(over_one_cod) == 1962
     for table, first, pairs in [(composites, _composite_one, composable),
@@ -941,7 +948,7 @@ def test_s3_map_tables_built_whole_match_the_references():
     pinned."""
     t = LevelTables(s3_group(), 6)
     ops = _ops_for(t)
-    composites, pullbacks, _, _ = ops.operations
+    composites, pullbacks, _ = ops.operations
     assert hashlib.sha256(repr((composites, pullbacks)).encode()).hexdigest() \
         == S3_MAP_TABLES_SHA256
     mc = ops.classes
@@ -1137,7 +1144,7 @@ def q8_group():
 
 def reference_families(tables):
     """Every downward-closed, conjugation-stable subgroup family, by a test
-    of each of the 2^n sid sets: the search `_families` replaced."""
+    of each of the 2^n sid sets."""
     t = tables
     out = set()
     for bits in range(1 << t.n_sids):
@@ -1152,28 +1159,55 @@ def reference_families(tables):
 
 @pytest.mark.parametrize("group, cutoff", [
     (C2, 2), (C4, 4), (cyclic_group(6), 6), (s3_group(), 6),
-    (direct_product(C2, C2), 4), (d8_group(), 8),
-    (direct_product(direct_product(C2, C2), C2), 8)],
-    ids=["C2-2", "C4-4", "C6-6", "S3-6", "C2xC2-4", "D8-8", "C2xC2xC2-8"])
-def test_families_match_the_power_set_search(group, cutoff):
+    (direct_product(C2, C2), 4)],
+    ids=["C2-2", "C4-4", "C6-6", "S3-6", "C2xC2-4"])
+def test_almost_unital_unit_families_are_the_subgroup_families(group, cutoff):
+    """The unit families of the almost-unital systems are exactly the
+    downward-closed, conjugation-stable subgroup families, over which the
+    replaced search ran one lattice each."""
+    poset = enumerate_systems(group, cutoff, "almost_unital")
+    families = {s.unit_family() for s in poset}
     t = level_tables(group, cutoff)
-    assert _families(t) == reference_families(t)
+    assert sorted(families, key=lambda f: (len(f), sorted(f))) == \
+        reference_families(t)
 
 
-def test_families_past_the_lattice_guard_stop_at_once():
-    """C2^4 has 67 subgroups: the power-set search would take 2^67 steps,
-    the closed-set search stops at the lattice guard.  `_families` reads
-    only the subgroup tables, so no level classes are built."""
-    group = direct_product(direct_product(direct_product(C2, C2), C2), C2)
-    lat = subgroup_lattice(group)
-    tables = SimpleNamespace(
-        n_sids=len(lat), conj_sid=lat.conj_table,
-        sub_sids=[tuple(k for k in range(len(lat)) if lat.leq[k][hi])
-                  for hi in range(len(lat))])
-    assert tables.n_sids == 67
-    with pytest.raises(GuardExceededError, match=f"more than {LATTICE_GUARD} "
-                       "closed sets"):
-        _families(tables)
+def reference_almost_unital_masks(t):
+    """The search the one almost-unital rule replaced: per subgroup family
+    F, the closed sets over the one-point sets and F's empty sets, with
+    the classes at F's levels as candidates."""
+    found = []
+    for fam in reference_families(t):
+        candidates = _mask(t.offset[hi] + cid for hi in fam
+                           for cid in range(len(t.classes[hi])))
+        found += closure_lattice(t.rules, t.seed_mask(fam), candidates)
+    return found
+
+
+# the gates of the one enumeration against the searches it replaced
+REPLACED_SEARCHES = pytest.mark.parametrize("group, cutoff", [
+    (C4, 12), (cyclic_group(6), 12), (s3_group(), 6),
+    (direct_product(C2, C2), 8)], ids=["C4-12", "C6-12", "S3-6", "C2xC2-8"])
+
+
+@REPLACED_SEARCHES
+def test_almost_unital_rule_matches_the_per_family_search(group, cutoff):
+    t = level_tables(group, cutoff)
+    reference = reference_almost_unital_masks(t)
+    assert len(set(reference)) == len(reference)
+    assert sorted(s.mask for s in enumerate_systems(group, cutoff,
+                                                    "almost_unital")) == \
+        sorted(reference)
+
+
+@REPLACED_SEARCHES
+def test_unital_filter_matches_the_unital_core_search(group, cutoff):
+    t = level_tables(group, cutoff)
+    reference = closure_lattice(t.rules, t.seed_mask(range(t.n_sids)),
+                                (1 << len(t.bit_class)) - 1)
+    assert sorted(s.mask for s in enumerate_systems(group, cutoff,
+                                                    "unital")) == \
+        sorted(reference)
 
 
 @pytest.mark.parametrize("group, cutoff, rows", [
@@ -1554,9 +1588,9 @@ def test_summand_closure_at_c4_cutoff_24():
 @pytest.mark.parametrize("group, almost, every", [
     (C2, 9, 3692), (cyclic_group(3), 12, 541)], ids=["C2", "C3"])
 def test_almost_unital_is_all_filtered(group, almost, every):
-    """Closing over a family's levels stays on them, so each family's
-    lattice is almost-unital with exactly that unit family, and the
-    "almost_unital" enumeration needs no filter and no dedupe."""
+    """The "almost_unital" enumeration, one lattice under the rule that a
+    class other than the one-point set forces its level's empty set, lists
+    exactly the systems of "all" that are almost-unital."""
     every_poset = enumerate_systems(group, 6, "all")
     poset = enumerate_systems(group, 6, "almost_unital")
     assert (len(every_poset), len(poset)) == (every, almost)
